@@ -203,7 +203,8 @@ let bench_move ~obs n =
       Controller.set_route fab.ctrl Filter.any nf1;
       let t0 = Sys.time () in
       let report =
-        Move.run_exn fab.ctrl (Move.spec ~src:nf1 ~dst:nf2 ~filter ())
+        Op_error.ok_exn
+          (Move.run fab.ctrl (Move.spec ~src:nf1 ~dst:nf2 ~filter ()))
       in
       wall := Sys.time () -. t0;
       virt := Move.duration report);

@@ -1,4 +1,4 @@
-(* Parallel execution gate for @bench-check (ISSUE 9).
+(* Parallel execution gate for @bench-check.
 
    The serial single-engine fabric is the reference oracle; the
    parallel fabric (one engine per shard, one domain per shard, coupled
@@ -12,7 +12,10 @@
 
    then runs the parallel configuration a second time and demands both
    repeat byte-for-byte (determinism across runs, whatever the domain
-   scheduling did). Exits nonzero on any divergence.
+   scheduling did). Each pair's destination lives one shard over from
+   its source, so at 2 and 4 shards every move crosses engines through
+   the admission handshake; a sharded run that admits no cross-shard
+   operation fails the gate. Exits nonzero on any divergence.
 
    On a 1-domain host the parallel path degenerates (the coordinator
    still runs, on one worker); the digest checks hold there too, but
@@ -28,7 +31,7 @@ let flows = 40
 
 let serial_oracle ~shards =
   let obs = Hub.create ~trace:true () in
-  let r = H.run_shard_workload ~obs ~ops ~flows ~shards () in
+  let r = H.run_shard_workload ~cross:true ~obs ~ops ~flows ~shards () in
   (r, Export.canonical [ Hub.trace obs ])
 
 (* At shards = 1 parallel mode is inert by contract ([Fabric.create]
@@ -37,12 +40,14 @@ let serial_oracle ~shards =
 let parallel_run ~shards =
   if shards = 1 then
     let obs = Hub.create ~trace:true () in
-    let r = H.run_shard_workload ~obs ~par:true ~ops ~flows ~shards () in
+    let r =
+      H.run_shard_workload ~cross:true ~obs ~par:true ~ops ~flows ~shards ()
+    in
     (r, Export.canonical [ Hub.trace obs ])
   else begin
     let hubs = Array.init shards (fun _ -> Hub.create ~trace:true ()) in
     let r =
-      H.run_shard_workload
+      H.run_shard_workload ~cross:true
         ~shard_obs:(fun k -> hubs.(k))
         ~par:true ~ops ~flows ~shards ()
     in
@@ -78,7 +83,9 @@ let run_parcheck () =
           failwith
             "par check: parallel trace content diverged from the serial oracle";
         if not repeat_ok then
-          failwith "par check: repeated parallel run was not deterministic")
+          failwith "par check: repeated parallel run was not deterministic";
+        if shards > 1 && (serial.H.s_cross = 0 || p1.H.s_cross = 0) then
+          failwith "par check: a sharded run admitted no cross-shard operation")
       [ 1; 2; 4 ]
 
 let () =

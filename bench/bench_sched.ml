@@ -97,24 +97,20 @@ let run_once ~obs ~cap ~ops ~flows ~overlap ~batch =
                      ~parallel:true ())
               in
               fun () ->
-                match Proc.Ivar.read ivar with
-                | Ok r ->
-                  durations := Move.duration r :: !durations;
-                  chunks := !chunks + r.Move.per_chunks + r.Move.multi_chunks;
-                  bytes := !bytes + r.Move.state_bytes
-                | Error e -> failwith (Format.asprintf "%a" Op_error.pp e)
+                let r = Op_error.ok_exn (Proc.Ivar.read ivar) in
+                durations := Move.duration r :: !durations;
+                chunks := !chunks + r.Move.per_chunks + r.Move.multi_chunks;
+                bytes := !bytes + r.Move.state_bytes
             else
               let ivar =
                 Copy_op.submit fab.sched ~src:nf1 ~dst:nf2 ~filter
                   ~scope:[ Opennf_state.Scope.Per ] ()
               in
               fun () ->
-                match Proc.Ivar.read ivar with
-                | Ok r ->
-                  durations := Copy_op.duration r :: !durations;
-                  chunks := !chunks + r.Copy_op.chunks;
-                  bytes := !bytes + r.Copy_op.state_bytes
-                | Error e -> failwith (Format.asprintf "%a" Op_error.pp e))
+                let r = Op_error.ok_exn (Proc.Ivar.read ivar) in
+                durations := Copy_op.duration r :: !durations;
+                chunks := !chunks + r.Copy_op.chunks;
+                bytes := !bytes + r.Copy_op.state_bytes)
           pairs
       in
       List.iter (fun wait -> wait ()) pending;
@@ -274,12 +270,15 @@ let run () =
 
 (* Standalone gate for @bench-check: the same disjoint workload on 1, 2
    and 4 shards must produce identical semantic digests (reports + final
-   stores), and a repeated sharded run must reproduce its virtual
-   makespan exactly (the sharded control plane stays deterministic). *)
+   stores), every sharded run must admit cross-shard moves, and a
+   repeated sharded run must reproduce its virtual makespan exactly (the
+   sharded control plane stays deterministic). *)
 let run_shardcheck () =
   H.section "Shard equivalence (sharded vs serial control plane)";
   let ops = 6 and flows = 40 in
-  let run shards = H.run_shard_workload ~ops ~flows ~shards () in
+  (* Destinations one shard over: every sharded move takes the two-shard
+     admission handshake. *)
+  let run shards = H.run_shard_workload ~cross:true ~ops ~flows ~shards () in
   let serial = run 1 in
   let sharded = List.map run [ 2; 4 ] in
   List.iter
@@ -290,6 +289,8 @@ let run_shardcheck () =
     (serial :: sharded);
   if List.exists (fun r -> r.H.s_digest <> serial.H.s_digest) sharded then
     failwith "shard check: sharded run diverged from the serial control plane";
+  if List.exists (fun r -> r.H.s_cross = 0) sharded then
+    failwith "shard check: a sharded run admitted no cross-shard operation";
   let again = run 4 in
   if again <> List.nth sharded 1 then
     failwith "shard check: repeated 4-shard run was not deterministic"

@@ -134,9 +134,9 @@ let affected_latency audit =
 (* --- sharded control plane ----------------------------------------------- *)
 
 (* The shard counts a bench sweeps. OPENNF_SHARDS pins the whole sweep
-   to one count (the same variable Fabric.create reads as its default),
-   so `OPENNF_SHARDS=2 ./main.exe sched` measures exactly that
-   configuration. *)
+   to one count, so `OPENNF_SHARDS=2 ./main.exe sched` measures exactly
+   that configuration; the bench passes each count to Fabric.create as
+   [~shards]. *)
 let shard_counts ?(default = [ 1; 2; 4 ]) () =
   match Sys.getenv_opt "OPENNF_SHARDS" with
   | None -> default
@@ -155,15 +155,18 @@ type shard_run = {
    dummy pairs, pair [i] homed on shard [i mod shards]. Controller CPU
    dominates (3 inbound messages per flow), so the virtual makespan
    measures how well the control plane parallelizes; the digest proves
-   the sharded run computed the same thing as the serial one. [par]
-   runs each shard on its own engine/domain (the ISSUE 9 parallel
-   path); [obs]/[shard_obs] attach tracing hubs for canonical trace
-   comparison; [workers] caps the domains of a parallel run. *)
+   the sharded run computed the same thing as the serial one. [cross]
+   homes each pair's destination on shard [(i + 1) mod shards] instead,
+   so with more than one shard every move goes through the cross-shard
+   admission handshake (the digest does not depend on placement). [par]
+   runs each shard on its own engine/domain; [obs]/[shard_obs] attach
+   tracing hubs for canonical trace comparison; [workers] caps the
+   domains of a parallel run. *)
 (* [monitor] attaches the live guarantee checkers ({!Fabric.create});
    [on_fabric] runs after the simulation completes, before the fabric is
    dropped — the moncheck gate reads {!Fabric.verdict} through it. *)
-let run_shard_workload ?(seed = 42) ?obs ?shard_obs ?par ?workers ?monitor
-    ?on_fabric ~ops ~flows ~shards () =
+let run_shard_workload ?(seed = 42) ?(cross = false) ?obs ?shard_obs ?par
+    ?workers ?monitor ?on_fabric ~ops ~flows ~shards () =
   let subnet i = Ipaddr.Prefix.make (Ipaddr.v 10 (160 + i) 0 0) 16 in
   let servers = Ipaddr.Prefix.make (Ipaddr.v 172 31 0 0) 16 in
   let filter i = Filter.make ~src:(subnet i) ~dst:servers () in
@@ -182,13 +185,14 @@ let run_shard_workload ?(seed = 42) ?obs ?shard_obs ?par ?workers ?monitor
         let d2 = Opennf_nfs.Dummy.create () in
         Opennf_nfs.Dummy.seed_flows d1 (keys i flows);
         let home = i mod shards in
+        let dst_home = if cross then (i + 1) mod shards else home in
         let nf1, _ =
           Fabric.add_nf fab ~shard:home
             ~name:(Printf.sprintf "src%d" i)
             ~impl:(Opennf_nfs.Dummy.impl d1) ~costs:Costs.dummy
         in
         let nf2, _ =
-          Fabric.add_nf fab ~shard:home
+          Fabric.add_nf fab ~shard:dst_home
             ~name:(Printf.sprintf "dst%d" i)
             ~impl:(Opennf_nfs.Dummy.impl d2) ~costs:Costs.dummy
         in
@@ -212,11 +216,9 @@ let run_shard_workload ?(seed = 42) ?obs ?shard_obs ?par ?workers ?monitor
       in
       List.iter
         (fun ivar ->
-          match Proc.Ivar.read ivar with
-          | Ok r ->
-            fold r.Move.per_chunks;
-            fold r.Move.state_bytes
-          | Error e -> failwith (Format.asprintf "%a" Op_error.pp e))
+          let r = Op_error.ok_exn (Proc.Ivar.read ivar) in
+          fold r.Move.per_chunks;
+          fold r.Move.state_bytes)
         ivars;
       finished := Engine.now fab.Fabric.engine);
   List.iter

@@ -15,9 +15,8 @@ open Opennf_net
 open Opennf
 open Cmdliner
 
-(* Demo scenarios are fault-free; a typed operation error here is a
-   wiring bug, so unwrap loudly. *)
-let ok = function Ok v -> v | Error e -> raise (Op_error.Op_failed e)
+(* Demo scenarios are fault-free: every operation result goes through
+   [Op_error.ok_exn], so a typed error (a wiring bug) fails loudly. *)
 
 let verdict ?(keys = []) fab nfs =
   let lost = Audit.lost fab.Fabric.audit ~nfs in
@@ -77,7 +76,7 @@ let run_move flows rate guarantee parallel early_release compress =
   Engine.schedule_at fab.engine (handshakes +. 0.55) (fun () ->
       Proc.spawn fab.engine (fun () ->
           let report =
-            ok
+            Op_error.ok_exn
               (Move.run fab.ctrl
                  (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any ~guarantee
                     ~parallel ~early_release ~compress ()))
@@ -152,9 +151,9 @@ let run_trace flows rate seed out timeline shards =
              no scheduler spans); sharded traces go through the
              cross-shard handshake. *)
           let report =
-            if shards <= 1 then ok (Move.run fab.ctrl spec)
-            else
-              ok (Proc.Ivar.read (Move.submit_sharded fab.Fabric.group spec))
+            Op_error.ok_exn
+              (if shards <= 1 then Move.run fab.ctrl spec
+               else Proc.Ivar.read (Move.submit_sharded fab.Fabric.group spec))
           in
           Format.printf "%a@." Move.pp_report report));
   Fabric.run fab;
@@ -235,8 +234,8 @@ let run_report flows rate seed shards openmetrics folded =
               (Move.spec ~src:nf2 ~dst:nf1 ~filter:Filter.any
                  ~guarantee:Move.Loss_free ~parallel:true ())
           in
-          ignore (ok (Proc.Ivar.read out));
-          ignore (ok (Proc.Ivar.read back))));
+          ignore (Op_error.ok_exn (Proc.Ivar.read out));
+          ignore (Op_error.ok_exn (Proc.Ivar.read back))));
   Fabric.run fab;
   let tr = Opennf_obs.Hub.trace obs in
   let metrics = Opennf_obs.Hub.metrics obs in
@@ -368,11 +367,11 @@ let run_scale_out () =
       Controller.set_route fab.ctrl Filter.any nf1;
       Proc.sleep 0.9;
       ignore
-        (ok
+        (Op_error.ok_exn
            (Copy_op.run fab.ctrl ~src:nf1 ~dst:nf2 ~filter:Filter.any
               ~scope:[ Opennf_state.Scope.Multi ] ()));
       ignore
-        (ok
+        (Op_error.ok_exn
            (Move.run fab.ctrl
               (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
                  ~guarantee:Move.Loss_free ~parallel:true ()))));

@@ -20,13 +20,10 @@ let prefix_filter prefix = Filter.of_src_prefix prefix
 (* Copies and moves here run in fault-free scenarios; a typed error is
    a wiring bug, surfaced loudly. *)
 let copy_exn t ~src ~dst ~filter ~scope =
-  let result =
-    match t.sched with
+  Op_error.ok_exn
+    (match t.sched with
     | None -> Copy_op.run t.ctrl ~src ~dst ~filter ~scope ()
-    | Some s ->
-      Proc.Ivar.read (Copy_op.submit s ~src ~dst ~filter ~scope ())
-  in
-  match result with Ok r -> r | Error e -> raise (Op_error.Op_failed e)
+    | Some s -> Proc.Ivar.read (Copy_op.submit s ~src ~dst ~filter ~scope ()))
 
 let create ctrl ?sched ~instances ?(sync_period = 60.0) () =
   let t =
@@ -103,12 +100,10 @@ let move_prefix t prefix ~to_ =
         ~guarantee:Move.Loss_free ~parallel:true ()
     in
     let report =
-      let result =
-        match t.sched with
+      Op_error.ok_exn
+        (match t.sched with
         | None -> Move.run t.ctrl spec
-        | Some s -> Proc.Ivar.read (Move.submit s spec)
-      in
-      match result with Ok r -> r | Error e -> raise (Op_error.Op_failed e)
+        | Some s -> Proc.Ivar.read (Move.submit s spec))
     in
     let target_known = List.exists (fun (nf, _) -> same_nf nf to_) t.assignment in
     t.assignment <-

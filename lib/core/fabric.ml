@@ -25,24 +25,6 @@ type t = {
           fabric was created without [~monitor:true]. *)
 }
 
-let shards_from_env () =
-  match Sys.getenv_opt "OPENNF_SHARDS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> invalid_arg ("bad OPENNF_SHARDS: " ^ s))
-
-let par_from_env () =
-  match Sys.getenv_opt "OPENNF_PAR" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let monitor_from_env () =
-  match Sys.getenv_opt "OPENNF_MONITOR" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 (* Stitch the per-shard switch replicas into one logical switch (see
    {!Switch}'s replica-stitching hooks): flow-mods received on one
    replica mirror to the others at the same virtual time; packet-ins
@@ -78,17 +60,9 @@ let stitch_switches p ~shards switches audits ports =
 
 let create ?(seed = 1) ?obs ?shard_obs ?config ?flow_mod_delay ?packet_out_rate
     ?(link_latency = 0.0002) ?fault_seed ?resilience ?max_concurrent_ops
-    ?shards ?par ?monitor () =
-  let shards =
-    match shards with Some n -> n | None -> shards_from_env ()
-  in
+    ?(shards = 1) ?(par = false) ?(monitor = false) () =
   if shards < 1 then invalid_arg "Fabric.create: shards must be >= 1";
-  let par =
-    (match par with Some b -> b | None -> par_from_env ()) && shards > 1
-  in
-  let monitor =
-    match monitor with Some b -> b | None -> monitor_from_env ()
-  in
+  let par = par && shards > 1 in
   (* One live checker per audit stream. The monitor taps the audit's
      tracer (the shared hub trace when tracing, the private ledger
      otherwise) and never schedules or records, so virtual-time results

@@ -77,34 +77,31 @@ val create :
     op spans, scheduler queues, southbound taps, channel counters, the
     flow table and the audit ledger all record through it.
 
-    [shards] (default: the [OPENNF_SHARDS] environment variable, else 1)
-    partitions the control plane: [shards] controller instances share
-    the one switch (one OpenFlow connection each), packet-ins are routed
-    to the shard owning the packet's flow ({!Shard.of_key}), and each
-    shard has its own scheduler. By default all shards run in the same
-    engine, so the fabric stays one deterministic virtual-time
-    simulation. With [shards = 1] every event is bit-identical to
-    earlier fabrics.
+    [shards] (default 1) partitions the control plane: [shards] controller
+    instances share the one switch (one OpenFlow connection each),
+    packet-ins are routed to the shard owning the packet's flow
+    ({!Shard.of_key}), and each shard has its own scheduler. By default all
+    shards run in the same engine, so the fabric stays one deterministic
+    virtual-time simulation. With [shards = 1] every event is bit-identical
+    to earlier fabrics.
 
-    [par] (default: the [OPENNF_PAR] environment variable, else false;
-    only meaningful with [shards > 1]) runs each shard on its own
-    engine, on its own domain, connected by the deterministic
-    cross-engine channels of {!Opennf_sim.Par}: one switch replica,
-    audit ledger and faults handle per shard, stitched back into one
-    logical fabric. Results are independent of how many domains
-    actually run the shards; semantic digests and virtual-time trace
-    content match the serial run of the same scenario (same-timestamp
-    micro-ordering may differ — compare with {!merged_audit} and
-    {!Opennf_obs.Export.canonical}). Random link faults draw from
-    per-shard RNG streams in parallel mode, so serial-vs-parallel
-    equivalence holds for deterministic fault plans ([crash_at]), not
-    random drop profiles. A single [obs] hub cannot span engines: pass
-    [shard_obs] (one hub per shard index) to trace a parallel run.
+    [par] (default false; only meaningful with [shards > 1]) runs each shard
+    on its own engine, on its own domain, connected by the deterministic
+    cross-engine channels of {!Opennf_sim.Par}: one switch replica, audit
+    ledger and faults handle per shard, stitched back into one logical
+    fabric. Results are independent of how many domains actually run the
+    shards; semantic digests and virtual-time trace content match the serial
+    run of the same scenario (same-timestamp micro-ordering may differ —
+    compare with {!merged_audit} and {!Opennf_obs.Export.canonical}). Random
+    link faults draw from per-shard RNG streams in parallel mode, so
+    serial-vs-parallel equivalence holds for deterministic fault plans
+    ([crash_at]), not random drop profiles. A single [obs] hub cannot span
+    engines: pass [shard_obs] (one hub per shard index) to trace a parallel
+    run.
 
-    [monitor] (default: the [OPENNF_MONITOR] environment variable, else
-    false) attaches one {!Opennf_obs.Monitor} per audit stream — a pure
-    observer, so monitored runs keep virtual-time results byte-identical
-    to unmonitored ones. *)
+    [monitor] (default false) attaches one {!Opennf_obs.Monitor} per audit
+    stream — a pure observer, so monitored runs keep virtual-time results
+    byte-identical to unmonitored ones. *)
 
 val shards : t -> int
 

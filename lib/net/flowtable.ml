@@ -104,11 +104,11 @@ let cache_slots len =
 let cache_initial = 256
 let cache_max = 1 lsl 17
 
-let create ?engine ?(obs = Opennf_obs.Hub.disabled) () =
+let create ?engine () =
   let obs =
     match engine with
     | Some e -> Opennf_sim.Engine.obs e
-    | None -> obs
+    | None -> Opennf_obs.Hub.disabled
   in
   let metrics = Opennf_obs.Hub.metrics obs in
   {

@@ -126,6 +126,29 @@ let test_liveness_declares_death () =
   Alcotest.(check bool) "marked dead" false
     (Controller.nf_alive tb.H.fab.ctrl tb.H.nf1)
 
+(* [Op_error.ok_exn] is the one unwrapper of operation results: a move
+   against a dead instance must surface as [Op_failed (Nf_crashed _)],
+   printed through the registered printer. *)
+let test_ok_exn_raises_on_crashed_nf () =
+  let tb = H.prads_pair ~flows:5 ~rate:200.0 ~resilience () in
+  Faults.crash_at tb.H.fab.faults ~node:"prads1" 0.9;
+  let raised = ref None in
+  H.run_with tb ~at:1.0 (fun () ->
+      match
+        Op_error.ok_exn
+          (Move.run tb.H.fab.ctrl
+             (Move.spec ~src:tb.H.nf1 ~dst:tb.H.nf2 ~filter:Filter.any
+                ~guarantee:Move.Loss_free ()))
+      with
+      | _ -> ()
+      | exception (Op_error.Op_failed _ as exn) -> raised := Some exn);
+  match !raised with
+  | Some (Op_error.Op_failed (Op_error.Nf_crashed { nf = "prads1" }) as exn) ->
+    Alcotest.(check string) "registered printer"
+      "Op_failed: NF prads1 crashed" (Printexc.to_string exn)
+  | Some exn -> Alcotest.failf "wrong error: %s" (Printexc.to_string exn)
+  | None -> Alcotest.fail "ok_exn must raise on a move from a dead NF"
+
 (* --- crash-at-every-phase move rollback --------------------------------- *)
 
 (* Run a move at t=1.0 under [resilience], crashing [node] when [phase]
@@ -327,6 +350,8 @@ let suite =
       test_dst_crash_at_phase2;
     Alcotest.test_case "fault-free resilient move is clean" `Quick
       test_fault_free_resilient_move_is_clean;
+    Alcotest.test_case "ok_exn raises Op_failed on a dead NF" `Quick
+      test_ok_exn_raises_on_crashed_nf;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
