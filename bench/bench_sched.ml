@@ -115,7 +115,7 @@ let run_once ~obs ~cap ~ops ~flows ~overlap ~batch =
       in
       List.iter (fun wait -> wait ()) pending;
       finished := Engine.now fab.engine);
-  let stats = Sched.stats fab.sched in
+  let stats = Sched.stats (Shard.sched fab.sched 0) in
   let n = max 1 (List.length !durations) in
   {
     makespan = !finished -. 1.0;

@@ -209,7 +209,7 @@ let run_shard_workload ?(seed = 42) ?(cross = false) ?obs ?shard_obs ?par
       let ivars =
         List.map
           (fun (i, nf1, nf2, _, _) ->
-            Move.submit_sharded fab.Fabric.group
+            Move.submit fab.Fabric.sched
               (Move.spec ~src:nf1 ~dst:nf2 ~filter:(filter i)
                  ~guarantee:Move.Loss_free ~parallel:true ()))
           pairs
@@ -230,8 +230,8 @@ let run_shard_workload ?(seed = 42) ?(cross = false) ?obs ?shard_obs ?par
   {
     s_shards = shards;
     s_makespan = !finished -. 1.0;
-    s_cross = Opennf.Shard.cross_shard_ops fab.Fabric.group;
-    s_messages = Opennf.Shard.messages_handled fab.Fabric.group;
+    s_cross = Opennf.Shard.cross_shard_ops fab.Fabric.sched;
+    s_messages = Opennf.Shard.messages_handled fab.Fabric.sched;
     s_digest = !digest;
     s_domains =
       (match fab.Fabric.par with

@@ -153,7 +153,7 @@ let run_trace flows rate seed out timeline shards =
           let report =
             Op_error.ok_exn
               (if shards <= 1 then Move.run fab.ctrl spec
-               else Proc.Ivar.read (Move.submit_sharded fab.Fabric.group spec))
+               else Proc.Ivar.read (Move.submit fab.Fabric.sched spec))
           in
           Format.printf "%a@." Move.pp_report report));
   Fabric.run fab;
@@ -220,10 +220,7 @@ let run_report flows rate seed shards openmetrics folded =
   Proc.spawn fab.engine (fun () -> Controller.set_route fab.ctrl Filter.any nf1);
   Engine.schedule_at fab.engine (handshakes +. 0.55) (fun () ->
       Proc.spawn fab.engine (fun () ->
-          let submit spec =
-            if shards <= 1 then Move.submit fab.sched spec
-            else Move.submit_sharded fab.Fabric.group spec
-          in
+          let submit = Move.submit fab.sched in
           let out =
             submit
               (Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any

@@ -16,7 +16,7 @@ type mode =
 
 type t = {
   ctrl : Controller.t;
-  sched : Sched.t option;
+  sched : Shard.t option;
   normal : Controller.nf;
   standby : Controller.nf;
   mode : mode;

@@ -24,7 +24,7 @@ type t
 
 val init_standby :
   Controller.t ->
-  ?sched:Sched.t ->
+  ?sched:Shard.t ->
   normal:Controller.nf ->
   standby:Controller.nf ->
   ?local_net:Ipaddr.Prefix.t ->
@@ -33,8 +33,8 @@ val init_standby :
 (** Registers the notifications. [local_net] (default 10.0.0.0/8) scopes
     the HTTP-request trigger, as in Figure 9 line 6. Multi-flow state is
     copied up front so scan counters exist at the standby. With [sched],
-    every refresh copy is admitted through the scheduler, so refreshes
-    queue behind conflicting moves instead of racing them. *)
+    every refresh copy (and each notify enable) is admitted through the
+    shard group, so refreshes queue behind conflicting moves instead of racing them. *)
 
 val fail_over : t -> filter:Filter.t -> unit
 (** Blocking: reroute matching traffic to the standby (the "normal"

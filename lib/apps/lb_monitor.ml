@@ -7,7 +7,7 @@ type sync_pair = { a : Controller.nf; b : Controller.nf }
 
 type t = {
   ctrl : Controller.t;
-  sched : Sched.t option;
+  sched : Shard.t option;
   mutable assignment : (Controller.nf * Ipaddr.Prefix.t list) list;
   sync_period : float;
   mutable sync_pairs : sync_pair list;

@@ -13,7 +13,7 @@ type t
 
 val create :
   Controller.t ->
-  ?sched:Sched.t ->
+  ?sched:Shard.t ->
   instances:(Controller.nf * Ipaddr.Prefix.t list) list ->
   ?sync_period:float ->
   unit ->
@@ -23,7 +23,7 @@ val create :
     (pairs that never exchanged a prefix have nothing to keep
     consistent). [sync_period] defaults to 60 s, as in Figure 8. With
     [sched], prefix moves and sync copies are admitted through the
-    scheduler: moves of disjoint prefixes overlap, while operations on
+    shard group: moves of disjoint prefixes overlap, while operations on
     the same prefix or instance pair serialize. *)
 
 val move_prefix : t -> Ipaddr.Prefix.t -> to_:Controller.nf -> Move.report

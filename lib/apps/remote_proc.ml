@@ -5,7 +5,7 @@ open Opennf
 
 type t = {
   ctrl : Controller.t;
-  sched : Sched.t option;
+  sched : Shard.t option;
   cloud : Controller.nf;
   mutable offloaded : Flow.key list;  (* Newest first. *)
   mutable in_flight : Flow.Set.t;

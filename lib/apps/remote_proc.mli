@@ -14,14 +14,14 @@ type t
 
 val start :
   Controller.t ->
-  ?sched:Sched.t ->
+  ?sched:Shard.t ->
   local:(Controller.nf * Opennf_nfs.Ids.t) list ->
   cloud:Controller.nf ->
   unit ->
   t
 (** Hooks each local IDS's alert stream (the stand-in for watching Bro's
     log output). With [sched], offload moves are admitted through the
-    scheduler — moves of distinct flows overlap, and they queue behind
+    shard group — moves of distinct flows overlap, and they queue behind
     any conflicting operation on the same instances and flows. *)
 
 val offloaded : t -> Flow.key list

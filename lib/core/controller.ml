@@ -299,7 +299,7 @@ let cpu_loop t () =
   loop ()
 
 let create engine audit ~switch ?(config = default_config) ?faults ?resilience
-    ?(shard = 0) ?(shards = 1) ?conn () =
+    ?(shard = 0) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Controller.create: shards must be >= 1";
   if shard < 0 || shard >= shards then
     invalid_arg "Controller.create: shard out of range";
@@ -363,19 +363,13 @@ let create engine audit ~switch ?(config = default_config) ?faults ?resilience
   in
   Channel.set_handler_with_size from_switch (fun msg size ->
       Proc.Mailbox.send t.inbox (From_switch msg, size));
-  (* Our connection id: barrier replies come back on it, and our
-     flow-mods are fenced per connection (OpenFlow barrier semantics),
-     so shard barriers never wait on another shard's installs. A
-     parallel fabric pins the id ([?conn]) so every switch replica
-     agrees that controller [k] speaks on connection [k]. *)
-  let conn =
-    match conn with
-    | None -> Switch.register_controller switch from_switch
-    | Some c ->
-      Switch.register_controller_at switch ~conn:c from_switch;
-      c
-  in
-  Channel.set_handler to_switch (Switch.control_from switch ~conn);
+  (* Our connection id is our shard id: barrier replies come back on
+     it, and our flow-mods are fenced per connection (OpenFlow barrier
+     semantics), so shard barriers never wait on another shard's
+     installs. Every switch replica of a parallel fabric agrees that
+     controller [k] speaks on connection [k]. *)
+  Switch.register_controller_at switch ~conn:shard from_switch;
+  Channel.set_handler to_switch (Switch.control_from switch ~conn:shard);
   Proc.spawn engine (cpu_loop t);
   t
 

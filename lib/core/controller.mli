@@ -67,21 +67,17 @@ type nf
 val create :
   Opennf_sim.Engine.t -> Audit.t -> switch:Switch.t -> ?config:config ->
   ?faults:Opennf_sim.Faults.t -> ?resilience:resilience ->
-  ?shard:int -> ?shards:int -> ?conn:int -> unit -> t
+  ?shard:int -> ?shards:int -> unit -> t
 (** [faults] is consulted by every control channel the controller
     creates (switch and NF links), keyed by channel name.
 
     [shard]/[shards] (defaults 0/1) place this instance in a sharded
-    control plane (see {!Shard}): the instance registers its own switch
-    connection (per-connection barriers), stripes its rule cookies by
-    shard id, and labels its channels and metrics with the shard. With
-    the defaults every name and every virtual-time event is identical
-    to the single-controller controller.
-
-    [conn] pins the switch connection id instead of taking the next
-    free one ({!Switch.register_controller_at}) — the parallel fabric
-    uses it so every switch replica binds controller [k] at connection
-    [k]. *)
+    control plane (see {!Shard}): the instance binds switch connection
+    [shard] ({!Switch.register_controller_at}; per-connection barriers),
+    stripes its rule cookies by shard id, and labels its channels and
+    metrics with the shard. With the defaults every name and every
+    virtual-time event is identical to the single-controller
+    controller. *)
 
 val engine : t -> Opennf_sim.Engine.t
 

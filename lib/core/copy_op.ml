@@ -70,13 +70,7 @@ let footprint ~src ~dst ~filter =
     ~writes:[ Controller.nf_name dst ]
     ()
 
-let submit sched ~src ~dst ~filter ?scope ?options ?parallel () =
-  Sched.submit sched
-    ~footprint:(footprint ~src ~dst ~filter)
-    (fun () ->
-      run (Sched.ctrl sched) ~src ~dst ~filter ?scope ?options ?parallel ())
-
-let submit_sharded group ~src ~dst ~filter ?scope ?options ?parallel () =
+let submit group ~src ~dst ~filter ?scope ?options ?parallel () =
   Shard.submit group
     ~footprint:(footprint ~src ~dst ~filter)
     ~nfs:[ src; dst ]

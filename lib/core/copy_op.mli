@@ -58,21 +58,6 @@ val footprint :
     forwarding changes. *)
 
 val submit :
-  Sched.t ->
-  src:Controller.nf ->
-  dst:Controller.nf ->
-  filter:Filter.t ->
-  ?scope:Scope.t list ->
-  ?options:Op_options.t ->
-  ?parallel:bool ->
-  unit ->
-  (report, Op_error.t) result Proc.Ivar.t
-(** Queue the copy on the scheduler; it runs once no conflicting
-    operation is ahead of it. Two copies out of the same source may
-    overlap (reads don't conflict); a copy conflicts with any move
-    touching the same instances and flows. *)
-
-val submit_sharded :
   Shard.t ->
   src:Controller.nf ->
   dst:Controller.nf ->
@@ -82,4 +67,8 @@ val submit_sharded :
   ?parallel:bool ->
   unit ->
   (report, Op_error.t) result Proc.Ivar.t
-(** {!submit} routed through a shard group (see {!Move.submit_sharded}). *)
+(** Queue the copy through the shard group (see {!Move.submit}); it
+    runs once no conflicting operation is ahead of it. Two copies out of
+    the same source may overlap (reads don't conflict); a copy conflicts
+    with any move touching the same instances and flows. *)
+

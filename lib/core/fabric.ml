@@ -10,8 +10,7 @@ type t = {
   audit : Audit.t;
   switch : Switch.t;
   ctrl : Controller.t;
-  sched : Sched.t;
-  group : Shard.t;
+  sched : Shard.t;
   faults : Faults.t;
   link_latency : float;
   par : Par.t option;
@@ -63,11 +62,66 @@ let create ?(seed = 1) ?obs ?shard_obs ?config ?flow_mod_delay ?packet_out_rate
     ?(shards = 1) ?(par = false) ?(monitor = false) () =
   if shards < 1 then invalid_arg "Fabric.create: shards must be >= 1";
   let par = par && shards > 1 in
+  (* Observability hubs cannot be shared across engines — each shard of
+     a parallel fabric buffers its own trace, merged after the run
+     ({!Audit.merged}, {!Opennf_obs.Export.canonical}). *)
+  if par && Option.is_some obs then
+    invalid_arg "Fabric.create: pass ~shard_obs (one hub per shard) with ~par";
+  (* One engine (and one audit, faults handle and switch replica) per
+     shard in a parallel fabric; in a serial one every slot aliases the
+     single instance, so indexing by shard is the unchanged wiring. *)
+  let per_shard make =
+    if par then Array.init shards make else Array.make shards (make 0)
+  in
+  let engines =
+    per_shard (fun k ->
+        let obs = if par then Option.map (fun f -> f k) shard_obs else obs in
+        Engine.create ~seed ?obs ())
+  in
+  let audits = per_shard (fun k -> Audit.create engines.(k)) in
+  let shard_faults =
+    per_shard (fun k -> Faults.create engines.(k) ?seed:fault_seed ())
+  in
+  let switches =
+    per_shard (fun k ->
+        Switch.create engines.(k) audits.(k) ~name:"sw" ?flow_mod_delay
+          ?packet_out_rate ())
+  in
+  (* Controller k binds switch connection k, so routing a packet-in to
+     its flow's owning shard is routing to conn index [Shard.of_key],
+     and every replica agrees on the numbering. With one shard none of
+     this machinery engages and the fabric is event-for-event the
+     pre-shard one. *)
+  let ctrls =
+    Array.init shards (fun k ->
+        Controller.create engines.(k) audits.(k) ~switch:switches.(k) ?config
+          ~faults:shard_faults.(k) ?resilience ~shard:k ~shards ())
+  in
+  Controller.set_group ctrls;
+  let scheds =
+    Array.map (Sched.create ?max_concurrent:max_concurrent_ops) ctrls
+  in
+  let group = Shard.make ctrls scheds in
+  let ports = Hashtbl.create 16 in
+  let par =
+    if par then begin
+      let p = Par.create engines in
+      Controller.set_par ctrls.(0) p;
+      stitch_switches p ~shards switches audits ports;
+      Some p
+    end
+    else begin
+      if shards > 1 then
+        Switch.set_packet_in_router switches.(0) (fun (p : Packet.t) ->
+            Shard.of_key ~shards p.Packet.key);
+      None
+    end
+  in
   (* One live checker per audit stream. The monitor taps the audit's
      tracer (the shared hub trace when tracing, the private ledger
      otherwise) and never schedules or records, so virtual-time results
      are unchanged. *)
-  let make_monitors audits_distinct =
+  let monitors =
     if not monitor then [||]
     else
       Array.mapi
@@ -75,114 +129,27 @@ let create ?(seed = 1) ?obs ?shard_obs ?config ?flow_mod_delay ?packet_out_rate
           let m = Opennf_obs.Monitor.create ~shard:k () in
           Opennf_obs.Monitor.attach m (Audit.trace audit);
           m)
-        audits_distinct
+        (match par with Some _ -> audits | None -> [| audits.(0) |])
   in
-  if not par then begin
-    let engine = Engine.create ~seed ?obs () in
-    let audit = Audit.create engine in
-    let faults = Faults.create engine ?seed:fault_seed () in
-    let switch =
-      Switch.create engine audit ~name:"sw" ?flow_mod_delay ?packet_out_rate ()
-    in
-    (* Shard k registers switch connection k (creation order), so routing
-       a packet-in to its flow's owning shard is routing to conn index
-       [Shard.of_key]. With one shard none of this machinery engages and
-       the fabric is event-for-event the pre-shard one. *)
-    let ctrls =
-      Array.init shards (fun shard ->
-          Controller.create engine audit ~switch ?config ~faults ?resilience
-            ~shard ~shards ())
-    in
-    Controller.set_group ctrls;
-    let scheds =
-      Array.map (Sched.create ?max_concurrent:max_concurrent_ops) ctrls
-    in
-    let group = Shard.make ctrls scheds in
-    if shards > 1 then
-      Switch.set_packet_in_router switch (fun (p : Packet.t) ->
-          Shard.of_key ~shards p.Packet.key);
-    let monitors = make_monitors [| audit |] in
-    {
-      engine;
-      audit;
-      switch;
-      ctrl = ctrls.(0);
-      sched = scheds.(0);
-      group;
-      faults;
-      link_latency;
-      par = None;
-      engines = Array.make shards engine;
-      audits = Array.make shards audit;
-      switches = Array.make shards switch;
-      shard_faults = Array.make shards faults;
-      ports = Hashtbl.create 16;
-      monitors;
-    }
-  end
-  else begin
-    (* Parallel mode: one engine (and one audit, faults handle and
-       switch replica) per shard. Observability hubs cannot be shared
-       across engines — each shard buffers its own trace, merged after
-       the run ({!Audit.merged}, {!Opennf_obs.Export.canonical}). *)
-    if Option.is_some obs then
-      invalid_arg "Fabric.create: pass ~shard_obs (one hub per shard) with ~par";
-    let engines =
-      Array.init shards (fun k ->
-          let obs = Option.map (fun f -> f k) shard_obs in
-          Engine.create ~seed ?obs ())
-    in
-    let audits = Array.map Audit.create engines in
-    let shard_faults =
-      Array.map (fun e -> Faults.create e ?seed:fault_seed ()) engines
-    in
-    let switches =
-      Array.init shards (fun k ->
-          Switch.create engines.(k) audits.(k) ~name:"sw" ?flow_mod_delay
-            ?packet_out_rate ())
-    in
-    (* [~conn:k] pins controller k at connection k on its own replica,
-       so every replica agrees on the global connection numbering (the
-       other slots stay empty and route through the conn proxy). *)
-    let ctrls =
-      Array.init shards (fun k ->
-          Controller.create engines.(k) audits.(k) ~switch:switches.(k) ?config
-            ~faults:shard_faults.(k) ?resilience ~shard:k ~shards ~conn:k ())
-    in
-    Controller.set_group ctrls;
-    let scheds =
-      Array.map (Sched.create ?max_concurrent:max_concurrent_ops) ctrls
-    in
-    let group = Shard.make ctrls scheds in
-    let p = Par.create engines in
-    Controller.set_par ctrls.(0) p;
-    let ports = Hashtbl.create 16 in
-    stitch_switches p ~shards switches audits ports;
-    let monitors = make_monitors audits in
-    {
-      engine = engines.(0);
-      audit = audits.(0);
-      switch = switches.(0);
-      ctrl = ctrls.(0);
-      sched = scheds.(0);
-      group;
-      faults = shard_faults.(0);
-      link_latency;
-      par = Some p;
-      engines;
-      audits;
-      switches;
-      shard_faults;
-      ports;
-      monitors;
-    }
-  end
+  {
+    engine = engines.(0);
+    audit = audits.(0);
+    switch = switches.(0);
+    ctrl = ctrls.(0);
+    sched = group;
+    faults = shard_faults.(0);
+    link_latency;
+    par;
+    engines;
+    audits;
+    switches;
+    shard_faults;
+    ports;
+    monitors;
+  }
 
-let shards t = Shard.count t.group
+let shards t = Shard.count t.sched
 let parallel t = Option.is_some t.par
-let ctrl_of t k = Shard.ctrl t.group k
-let sched_of t k = Shard.sched t.group k
-let nf_sched t nf = Shard.sched t.group (Controller.nf_shard nf)
 
 let add_nf ?backend ?shard t ~name ~impl ~costs =
   let shard =
@@ -205,7 +172,7 @@ let add_nf ?backend ?shard t ~name ~impl ~costs =
   Channel.set_handler port (Runtime.receive runtime);
   Switch.attach_port t.switches.(shard) ~name port;
   Hashtbl.replace t.ports name (shard, port);
-  let nf = Controller.attach (ctrl_of t shard) runtime in
+  let nf = Controller.attach (Shard.ctrl t.sched shard) runtime in
   (nf, runtime)
 
 (* Packets enter at their flow's owning replica, so the packet-in (if

@@ -22,13 +22,14 @@ type t = {
   ctrl : Controller.t;
       (** Shard 0's controller — {e the} controller of an unsharded
           fabric. *)
-  sched : Sched.t;
-      (** Ready-made operation scheduler over [ctrl]; idle (and free)
-          until something is submitted to it. *)
-  group : Shard.t;
-      (** The full shard group (a single-member group when [shards]
-          is 1). Shard-aware submission ({!Move.submit_sharded}) goes
-          through this. *)
+  sched : Shard.t;
+      (** The shard group: one controller and one operation scheduler
+          per shard (a group of one when [shards] is 1), idle (and free)
+          until something is submitted to it. Every admitted operation
+          goes through it ({!Move.submit}, {!Copy_op.submit},
+          [?sched] of {!Share.start} and {!Notify.enable}); reach a
+          shard's controller or scheduler with {!Shard.ctrl} and
+          {!Shard.sched}. *)
   faults : Opennf_sim.Faults.t;
   link_latency : float;
   par : Opennf_sim.Par.t option;
@@ -72,7 +73,7 @@ val create :
   t
 (** Defaults: [link_latency] 200 µs, switch defaults per {!Switch}, no
     resilience policy (legacy blocking behavior), [max_concurrent_ops]
-    per {!Sched.create}. [obs] (default disabled) is handed to the
+    per {!Sched.create} (per shard). [obs] (default disabled) is handed to the
     engine and from there reaches every component the fabric wires up:
     op spans, scheduler queues, southbound taps, channel counters, the
     flow table and the audit ledger all record through it.
@@ -81,9 +82,10 @@ val create :
     instances share the one switch (one OpenFlow connection each),
     packet-ins are routed to the shard owning the packet's flow
     ({!Shard.of_key}), and each shard has its own scheduler. By default all
-    shards run in the same engine, so the fabric stays one deterministic
-    virtual-time simulation. With [shards = 1] every event is bit-identical
-    to earlier fabrics.
+    shards run in the same engine — every per-shard slot of the record
+    aliases the one engine, audit, switch and faults handle — so the fabric
+    stays one deterministic virtual-time simulation. With [shards = 1]
+    every event is bit-identical to earlier fabrics.
 
     [par] (default false; only meaningful with [shards > 1]) runs each shard
     on its own engine, on its own domain, connected by the deterministic
@@ -128,12 +130,6 @@ val live_findings : t -> Opennf_obs.Monitor.finding list
 (** Online findings (order/duplicate violations) streamed by the live
     monitors so far; [[]] when {!monitored} is false. Per-shard
     detection order — use {!verdict} for the canonical list. *)
-
-val ctrl_of : t -> int -> Controller.t
-val sched_of : t -> int -> Sched.t
-
-val nf_sched : t -> Controller.nf -> Sched.t
-(** The scheduler of the NF's home shard. *)
 
 val add_nf :
   ?backend:Opennf_state.Backend.t ->

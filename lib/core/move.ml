@@ -527,24 +527,15 @@ let footprint spec =
     ~writes:[ Controller.nf_name spec.src; Controller.nf_name spec.dst ]
     ~routes:true ()
 
-let submit sched spec =
-  let fp = footprint spec in
-  (* Early release shrinks the held footprint flow by flow: once a
-     flow's chunk is acked at the destination, an exact-flow waiter on
-     it may be admitted even though this move is still running. *)
-  let notify_release flowid =
-    match Filter.exact_key flowid with
-    | Some key -> Sched.release_flow sched ~footprint:fp key
-    | None -> ()
-  in
-  Sched.submit sched ~footprint:fp (fun () ->
-      run ~notify_release (Sched.ctrl sched) spec)
-
-(* Shard-aware admission: the source's home shard leads the move (its
-   channels already reach the source NF; destination-side calls route to
-   the destination's home via [Controller.nf_home]). With one shard this
-   is [submit] on that shard's scheduler. *)
-let submit_sharded group spec =
+(* Admission through the shard group: a move within one shard queues on
+   that shard's scheduler, a cross-shard move takes the handshake. The
+   source's home shard leads the move (its channels already reach the
+   source NF; destination-side calls route to the destination's home via
+   [Controller.nf_home]). Early release shrinks the held footprint flow
+   by flow: once a flow's chunk is acked at the destination, an
+   exact-flow waiter on it may be admitted even though this move is
+   still running. *)
+let submit group spec =
   let fp = footprint spec in
   let nfs = [ spec.src; spec.dst ] in
   let notify_release flowid =

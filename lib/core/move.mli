@@ -140,14 +140,10 @@ val footprint : spec -> Sched.Footprint.t
 (** What the move touches: both instances written, the filter's flows
     covered, forwarding state updated. *)
 
-val submit : Sched.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
-(** Queue the move on the scheduler; it runs once no conflicting
-    operation is ahead of it. Under [early_release], flows leave the
-    held footprint as their chunks land. *)
-
-val submit_sharded : Shard.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
-(** {!submit} routed through a shard group: a move within one shard goes
-    to that shard's scheduler; a cross-shard move is admitted by the
-    two-shard handshake and led by the source's home shard. Early
-    release reaches every involved scheduler. With a 1-shard group this
-    is exactly [submit]. *)
+val submit : Shard.t -> spec -> (report, Op_error.t) result Proc.Ivar.t
+(** Queue the move through the shard group; it runs once no conflicting
+    operation is ahead of it. A move within one shard queues on that
+    shard's scheduler; a cross-shard move is admitted by the two-shard
+    handshake and led by the source's home shard. Under
+    [early_release], flows leave the held footprint — on every involved
+    scheduler — as their chunks land. *)

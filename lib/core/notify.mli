@@ -9,17 +9,15 @@ open Opennf_net
 type handle
 
 val enable :
-  ?sched:Sched.t ->
-  ?shard_group:Shard.t ->
+  ?sched:Shard.t ->
   Controller.t -> Controller.nf -> Filter.t -> (Packet.t -> unit) ->
   (handle, Op_error.t) result
 (** [enable t inst filter callback]: events with action [process] are
     enabled on [inst]; the callback fires at the controller for every
     matching packet the instance processes. [Error (Nf_crashed _)] if
     the instance is already known dead. With [sched], the enable is
-    admitted as a short read of the instance — it waits out conflicting
-    writes in flight but holds no footprint afterwards. [shard_group]
-    routes that read through the instance's home shard instead, and
-    takes precedence over [sched]. *)
+    admitted on the instance's home shard as a short read of the
+    instance — it waits out conflicting writes in flight but holds no
+    footprint afterwards. *)
 
 val disable : Controller.t -> handle -> unit

@@ -105,8 +105,6 @@ let create ?(max_concurrent = 8) ctrl =
     h_wait = Opennf_obs.Metrics.hist metrics ("sched.wait_s" ^ sfx);
   }
 
-let ctrl t = t.ctrl
-let active_count t = List.length t.active
 let waiting_count t = List.length t.waiting
 
 let stats (t : t) : stats =
@@ -217,24 +215,16 @@ let submit t ~footprint body =
   enqueue t { id; footprint; start; enq_vt = Engine.now t.engine; span };
   ivar
 
-let run t ~footprint body = Proc.Ivar.read (submit t ~footprint body)
-
-let release_flow t ~footprint key =
-  Footprint.release footprint key;
-  pump t
-
-(* Re-scan after an external footprint change. The parallel sharded
-   fabric mutates a cross-shard footprint exactly once (on the shard
-   that owns the operation) and sends the other involved schedulers a
-   repump instead of a second mutation — the footprint record must
-   never be written from two engines. *)
+(* Re-scan after an external footprint change. {!Shard.release_flow}
+   mutates a footprint exactly once (on the shard that owns the
+   operation) and repumps every involved scheduler — the footprint
+   record must never be written from two engines. *)
 let repump t = pump t
 
 (* --- long-lived holds (Share, Notify-style setups) ------------------------ *)
 
 type handle = {
   h_id : int;
-  h_footprint : Footprint.t;
   mutable h_held : bool;
 }
 
@@ -245,13 +235,10 @@ let acquire t ~footprint =
   let start () = Proc.Ivar.fill admitted () in
   enqueue t { id; footprint; start; enq_vt = Engine.now t.engine; span };
   Proc.Ivar.read admitted;
-  { h_id = id; h_footprint = footprint; h_held = true }
+  { h_id = id; h_held = true }
 
 let release t h =
   if h.h_held then begin
     h.h_held <- false;
     retire t h.h_id
   end
-
-let release_key t h key =
-  if h.h_held then release_flow t ~footprint:h.h_footprint key

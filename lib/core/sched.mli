@@ -17,7 +17,7 @@
       simulation runs stay reproducible.
 
     Footprints can shrink while held: an early-release move reports each
-    flow as its chunk lands ({!release_flow}), letting an exact-flow
+    flow as its chunk lands ({!Shard.release_flow}), letting an exact-flow
     waiter start before the whole move finishes.
 
     The scheduler is advisory plumbing, not a lock manager inside the
@@ -55,8 +55,8 @@ module Footprint : sig
 
   val release : t -> Flow.key -> unit
   (** Record that [key]'s state has safely landed; exact-key candidates
-      for it no longer conflict. Prefer {!Sched.release_flow}, which
-      also re-pumps the admission queue. *)
+      for it no longer conflict. Follow with {!repump} (or use
+      {!Shard.release_flow}, which does both). *)
 end
 
 type t
@@ -66,26 +66,16 @@ val create : ?max_concurrent:int -> Controller.t -> t
     caps simultaneously admitted operations; raises [Invalid_argument]
     below 1. Creation schedules nothing on the engine. *)
 
-val ctrl : t -> Controller.t
-
 val submit : t -> footprint:Footprint.t -> (unit -> 'a) -> 'a Proc.Ivar.t
 (** Queue [body] under [footprint]. Once admitted it runs in its own
     simulation process; the ivar resolves with its result. The footprint
     is held until [body] returns. *)
 
-val run : t -> footprint:Footprint.t -> (unit -> 'a) -> 'a
-(** [submit] and block for the result. *)
-
-val release_flow : t -> footprint:Footprint.t -> Flow.key -> unit
-(** Shrink a held footprint: [key]'s state has safely landed, so
-    exact-flow waiters on it may be admitted now. No-op on footprints
-    that are not currently held. *)
-
 val repump : t -> unit
-(** Re-scan the admission queue after a footprint was shrunk elsewhere
-    ({!Footprint.release} without this scheduler's involvement). The
-    parallel sharded fabric mutates a cross-shard footprint once, on
-    the owning shard, and repumps the other involved schedulers. *)
+(** Re-scan the admission queue after a held footprint was shrunk
+    ({!Footprint.release}), so exact-flow waiters on the released keys
+    may be admitted now. {!Shard.release_flow} shrinks the footprint
+    once, on the owning shard, and repumps every involved scheduler. *)
 
 (** {1 Long-lived holds}
 
@@ -101,9 +91,6 @@ val acquire : t -> footprint:Footprint.t -> handle
 val release : t -> handle -> unit
 (** Give the footprint back and admit eligible waiters. Idempotent. *)
 
-val release_key : t -> handle -> Flow.key -> unit
-(** {!release_flow} for a held handle. *)
-
 (** {1 Introspection} *)
 
 type stats = {
@@ -114,5 +101,4 @@ type stats = {
 }
 
 val stats : t -> stats
-val active_count : t -> int
 val waiting_count : t -> int

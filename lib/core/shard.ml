@@ -77,7 +77,8 @@ let shard_ids g nfs =
    submissions, acquisitions and releases aimed at another shard ride
    the {!Opennf_sim.Par} channels (zero virtual latency), so admission
    times match the serial single-engine run. [par g] is [None] in a
-   serial fabric and every path below is the unchanged direct code. *)
+   serial fabric, where every shard shares one engine and every bridge
+   below reduces to the direct call. *)
 
 let par g = Controller.par g.ctrls.(0)
 
@@ -91,18 +92,21 @@ let remote g s =
     | Some src when src <> s -> Some (p, src)
     | _ -> None)
 
+(* Run [f] on shard [s]'s engine: directly when the caller already runs
+   there (always, in a serial fabric), else as a zero-latency message. *)
+let on_shard g s f =
+  match remote g s with
+  | None -> f ()
+  | Some (p, _) -> Opennf_sim.Par.post p ~dst:s f
+
+(* The counter (and its metric, registered on shard 0's hub) is
+   single-writer: shard 0's engine. *)
 let note_cross g =
-  let bump () =
-    g.cross_ops <- g.cross_ops + 1;
-    match g.m_cross with
-    | Some c -> Opennf_obs.Metrics.incr c
-    | None -> ()
-  in
-  (* The counter (and its metric, registered on shard 0's hub) is
-     single-writer: shard 0's engine. *)
-  match remote g 0 with
-  | None -> bump ()
-  | Some (p, _) -> Opennf_sim.Par.post p ~dst:0 bump
+  on_shard g 0 (fun () ->
+      g.cross_ops <- g.cross_ops + 1;
+      match g.m_cross with
+      | Some c -> Opennf_obs.Metrics.incr c
+      | None -> ())
 
 (* Blocking acquire on shard [s]'s scheduler from wherever the caller
    runs: direct when local, else a round trip that parks a proc on the
@@ -117,27 +121,10 @@ let acquire_on g s ~footprint =
           (Controller.engine g.ctrls.(s))
           (fun () -> fill (Sched.acquire g.scheds.(s) ~footprint)))
 
-let release_on g s h =
-  match remote g s with
-  | None -> Sched.release g.scheds.(s) h
-  | Some (p, _) ->
-    Opennf_sim.Par.post p ~dst:s (fun () -> Sched.release g.scheds.(s) h)
+let release_on g s h = on_shard g s (fun () -> Sched.release g.scheds.(s) h)
 
-(* --- cross-shard admission ------------------------------------------------- *)
+(* --- admission ------------------------------------------------------------- *)
 
-(* Admission of an operation whose footprint spans [nfs]' home shards.
-
-   Single shard: exactly [Sched.submit] on that shard — the unsharded
-   fast path, taken by everything when [count g = 1].
-
-   Multiple shards: the two-shard handshake. A coordinator process
-   acquires a hold for the same footprint on every involved scheduler in
-   ascending shard-id order (deadlock-free), runs the body — which
-   reuses the ordinary operation code; [Controller]'s home routing makes
-   southbound calls land on the right shard — and releases in reverse
-   order. Each shard's scheduler sees the footprint in its own queue, so
-   per-shard operations conflict with the cross-shard one exactly as
-   they would with a local one. *)
 (* Ship a single-home submission to the owning engine and bridge the
    result ivar back to the caller's. The body runs in a proc on the
    home engine — exactly where its southbound calls are local. *)
@@ -153,41 +140,40 @@ let submit_remote g p ~src s ~footprint body =
               ignore (Proc.Ivar.fill_if_empty result v))));
   result
 
-(* The multi-shard handshake of a parallel run. The coordinator proc
-   lives on the leader — the home of the operation's first instance, so
-   the body (whose southbound calls route to that leader) runs on its
-   own engine — and acquires ascending through [acquire_on], which
-   bridges the non-leader schedulers. *)
-let submit_cross_par g p ~footprint ss nfs body =
+(* The multi-shard handshake. A coordinator process acquires a hold for
+   the same footprint on every involved scheduler in ascending shard-id
+   order (deadlock-free), runs the body — which reuses the ordinary
+   operation code; [Controller]'s home routing makes southbound calls
+   land on the right shard — and releases in reverse order. Each
+   shard's scheduler sees the footprint in its own queue, so per-shard
+   operations conflict with the cross-shard one exactly as they would
+   with a local one.
+
+   The coordinator lives on the leader — the home of the operation's
+   first instance, so the body (whose southbound calls route to that
+   leader) runs on its own engine. In a parallel run the result is
+   bridged back to the caller's engine; in a serial one every shard is
+   the same engine and the bridges are direct calls. *)
+let submit_cross g ~footprint ss nfs body =
   let lead = match nfs with [] -> List.hd ss | nf :: _ -> home g nf in
-  let src = Opennf_sim.Par.self p in
-  let caller_engine =
-    match src with
-    | Some s -> Controller.engine g.ctrls.(s)
-    | None -> Controller.engine g.ctrls.(lead)
+  let caller =
+    match Option.bind (par g) Opennf_sim.Par.self with
+    | Some s -> s
+    | None -> lead
   in
-  let ivar = Proc.Ivar.create caller_engine in
-  let fill_back result =
-    match src with
-    | Some s when s <> lead ->
-      Opennf_sim.Par.post p ~dst:s (fun () -> Proc.Ivar.fill ivar result)
-    | _ -> Proc.Ivar.fill ivar result
-  in
-  let spawn_coordinator () =
-    Proc.spawn
-      (Controller.engine g.ctrls.(lead))
-      (fun () ->
-        let holds = List.map (fun s -> (s, acquire_on g s ~footprint)) ss in
-        let result = body () in
-        List.iter (fun (s, h) -> release_on g s h) (List.rev holds);
-        fill_back result)
-  in
-  (match src with
-  | Some s when s <> lead ->
-    Opennf_sim.Par.post p ~dst:lead spawn_coordinator
-  | _ -> spawn_coordinator ());
+  let ivar = Proc.Ivar.create (Controller.engine g.ctrls.(caller)) in
+  on_shard g lead (fun () ->
+      Proc.spawn
+        (Controller.engine g.ctrls.(lead))
+        (fun () ->
+          let holds = List.map (fun s -> (s, acquire_on g s ~footprint)) ss in
+          let result = body () in
+          List.iter (fun (s, h) -> release_on g s h) (List.rev holds);
+          on_shard g caller (fun () -> Proc.Ivar.fill ivar result)));
   ivar
 
+(* Single home shard: exactly [Sched.submit] there — the unsharded path,
+   taken by everything when [count g = 1]. Several: the handshake. *)
 let submit g ~footprint ~nfs body =
   match shard_ids g nfs with
   | [] -> Sched.submit g.scheds.(0) ~footprint body
@@ -195,48 +181,22 @@ let submit g ~footprint ~nfs body =
     match remote g s with
     | None -> Sched.submit g.scheds.(s) ~footprint body
     | Some (p, src) -> submit_remote g p ~src s ~footprint body)
-  | ss -> (
+  | ss ->
     note_cross g;
-    match par g with
-    | Some p -> submit_cross_par g p ~footprint ss nfs body
-    | None ->
-      let engine = Controller.engine g.ctrls.(0) in
-      let ivar = Proc.Ivar.create engine in
-      Proc.spawn engine (fun () ->
-          let holds =
-            List.map
-              (fun s -> (g.scheds.(s), Sched.acquire g.scheds.(s) ~footprint))
-              ss
-          in
-          let result = body () in
-          List.iter (fun (sch, h) -> Sched.release sch h) (List.rev holds);
-          Proc.Ivar.fill ivar result);
-      ivar)
+    submit_cross g ~footprint ss nfs body
 
 let run g ~footprint ~nfs body = Proc.Ivar.read (submit g ~footprint ~nfs body)
 
 (* Early release must reach every scheduler holding the footprint: the
    released-key list lives in the footprint itself (shared across the
-   holds), so releasing through each involved scheduler just re-pumps
-   the right queues. In a parallel run the footprint record is mutated
-   exactly once — on the calling (owning) shard — and the other
-   schedulers get a repump message: a footprint must never be written
-   from two engines. *)
+   holds), so it is shrunk once — on the calling (owning) shard — and
+   every involved scheduler re-pumps its queue. A footprint must never
+   be written from two engines. *)
 let release_flow g ~footprint ~nfs key =
-  match par g with
-  | None ->
-    List.iter
-      (fun s -> Sched.release_flow g.scheds.(s) ~footprint key)
-      (shard_ids g nfs)
-  | Some p ->
-    Sched.Footprint.release footprint key;
-    List.iter
-      (fun s ->
-        match remote g s with
-        | None -> Sched.repump g.scheds.(s)
-        | Some _ ->
-          Opennf_sim.Par.post p ~dst:s (fun () -> Sched.repump g.scheds.(s)))
-      (shard_ids g nfs)
+  Sched.Footprint.release footprint key;
+  List.iter
+    (fun s -> on_shard g s (fun () -> Sched.repump g.scheds.(s)))
+    (shard_ids g nfs)
 
 (* --- long-lived multi-shard holds (Share) ---------------------------------- *)
 

@@ -71,8 +71,9 @@ val submit :
   t -> footprint:Sched.Footprint.t -> nfs:Controller.nf list ->
   (unit -> 'a) -> 'a Opennf_sim.Proc.Ivar.t
 (** Admit [body] under [footprint] on the home shards of [nfs]. One
-    home shard: plain {!Sched.submit} there. Several: the cross-shard
-    handshake described above. *)
+    home shard: plain {!Sched.submit} there (shard 0 when [nfs] is
+    empty). Several: the cross-shard handshake described above — the
+    one path for serial and parallel fabrics alike. *)
 
 val run :
   t -> footprint:Sched.Footprint.t -> nfs:Controller.nf list ->
@@ -82,8 +83,9 @@ val run :
 val release_flow :
   t -> footprint:Sched.Footprint.t -> nfs:Controller.nf list ->
   Flow.key -> unit
-(** Early-release [key] from a held footprint on every involved
-    scheduler (the per-flow pipelining of §5.1.3, shard-aware). *)
+(** Early-release [key] from a held footprint: [key]'s state has safely
+    landed, so exact-flow waiters on it may be admitted now on every
+    involved scheduler (the per-flow pipelining of §5.1.3). *)
 
 (** {1 Long-lived holds}
 

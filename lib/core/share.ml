@@ -137,21 +137,17 @@ let footprint ~instances ~filter ~consistency =
     ~writes:(List.map Controller.nf_name instances)
     ~routes:(consistency = Strict) ()
 
-let start ctrl ?sched ?shard_group ~instances ~filter
-    ?(scope = [ Scope.Multi ]) ?group_of ?route ~consistency () =
+let start ctrl ?sched ~instances ~filter ?(scope = [ Scope.Multi ])
+    ?group_of ?route ~consistency () =
   if instances = [] then Op_engine.bad_spec "Share.start: no instances"
   else begin
     let release_hold =
-      match (shard_group, sched) with
-      | Some g, _ ->
+      match sched with
+      | Some g ->
         let fp = footprint ~instances ~filter ~consistency in
         let h = Shard.acquire g ~footprint:fp ~nfs:instances in
         fun () -> Shard.release_hold h
-      | None, Some s ->
-        let fp = footprint ~instances ~filter ~consistency in
-        let h = Sched.acquire s ~footprint:fp in
-        fun () -> Sched.release s h
-      | None, None -> fun () -> ()
+      | None -> fun () -> ()
     in
     let group_of =
       match group_of with

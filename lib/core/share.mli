@@ -47,8 +47,7 @@ val footprint :
 
 val start :
   Controller.t ->
-  ?sched:Sched.t ->
-  ?shard_group:Shard.t ->
+  ?sched:Shard.t ->
   instances:Controller.nf list ->
   filter:Filter.t ->
   ?scope:Scope.t list ->
@@ -61,11 +60,9 @@ val start :
     required for [Strict] (defaults to the first instance). [scope]
     defaults to [[Multi]]. An empty instance list is
     [Error (Bad_spec _)]. With [sched], the share's {!footprint} is
-    acquired before any setup and held until {!stop}, so conflicting
-    operations queue behind it. [shard_group] does the same across a
-    sharded control plane — the footprint is held on every shard the
-    instances live on (ascending shard-id order) — and takes precedence
-    over [sched]. *)
+    acquired before any setup — on every shard the instances live on,
+    in ascending shard-id order — and held until {!stop}, so conflicting
+    operations queue behind it. *)
 
 val stats : t -> stats
 

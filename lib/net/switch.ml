@@ -84,20 +84,6 @@ let ensure_conn t conn =
     t.mods_applied_by <- clocks
   end
 
-let register_controller t chan =
-  let conn =
-    let n = Array.length t.controllers in
-    let rec first i = if i >= n || t.controllers.(i) = None then i else first (i + 1) in
-    first 0
-  in
-  ensure_conn t conn;
-  t.controllers.(conn) <- Some chan;
-  conn
-
-let set_controller t chan =
-  ensure_conn t 0;
-  t.controllers.(0) <- Some chan
-
 let register_controller_at t ~conn chan =
   ensure_conn t conn;
   (match t.controllers.(conn) with
@@ -203,11 +189,8 @@ let control_from t ~conn msg =
     Engine.schedule_at t.engine reply_at (fun () ->
         send_on t ~conn (Barrier_reply { id }))
 
-let control t msg = control_from t ~conn:0 msg
-
 let table t = t.table
 let table_misses t = t.table_misses
-let table_generation t = Flowtable.generation t.table
 
 let decision_cache_stats t = Flowtable.cache_stats t.table
 

@@ -46,15 +46,13 @@ val create :
 val attach_port : t -> name:string -> Packet.t Channel.t -> unit
 (** Connect an output port. [Flowtable.Forward name] sends on it. *)
 
-val set_controller : t -> from_switch Channel.t -> unit
-(** Channel on which the switch emits packet-ins and barrier replies;
-    binds connection 0 (the single-controller wiring). *)
-
-val register_controller : t -> from_switch Channel.t -> int
-(** Bind an additional controller connection; returns its connection
-    id (0, 1, 2, … in registration order). Barrier replies return on
-    the connection that issued the barrier; packet-ins are routed by
-    {!set_packet_in_router} (default: everything to connection 0). *)
+val register_controller_at : t -> conn:int -> from_switch Channel.t -> unit
+(** Bind the channel on which the switch emits packet-ins and barrier
+    replies for controller connection [conn] (controller shard [k]
+    binds connection [k]). Barrier replies return on the connection
+    that issued the barrier; packet-ins are routed by
+    {!set_packet_in_router} (default: everything to connection 0).
+    Raises if the slot is taken. *)
 
 val set_packet_in_router : t -> (Packet.t -> int) -> unit
 (** Route packet-ins by packet (e.g. a flowspace-shard hash). Replies
@@ -64,15 +62,12 @@ val set_packet_in_router : t -> (Packet.t -> int) -> unit
 (** {2 Replica stitching}
 
     A parallel sharded fabric runs one switch replica per shard (each
-    on its own engine) standing in for one logical switch. The hooks
-    below stitch them together; none are set in single-switch wiring.
-    See {!Opennf.Fabric}. *)
-
-val register_controller_at : t -> conn:int -> from_switch Channel.t -> unit
-(** Bind a controller at a {e specific} connection id, so replicas can
-    agree on the global conn numbering (replica [k] binds controller
-    [k] at conn [k]; the other slots stay empty and route through the
-    conn proxy). Raises if the slot is taken. *)
+    on its own engine) standing in for one logical switch. Every
+    replica agrees on the global connection numbering: replica [k]
+    binds controller [k] at connection [k], and the other slots stay
+    empty and route through the conn proxy. The hooks below stitch the
+    replicas together; none are set in single-switch wiring. See
+    {!Opennf.Fabric}. *)
 
 val set_mod_tap : t -> (conn:int -> to_switch -> unit) -> unit
 (** Called for every Install/Remove this replica receives, after local
@@ -102,14 +97,9 @@ val emit_to : t -> conn:int -> from_switch -> unit
 val connections : t -> int
 (** Number of registered controller connections. *)
 
-val control : t -> to_switch -> unit
-(** Deliver a control message to the switch (call through a channel to
-    model controller→switch latency). Equivalent to [control_from]
-    on connection 0. *)
-
 val control_from : t -> conn:int -> to_switch -> unit
-(** Deliver a control message arriving on a specific controller
-    connection. Barrier semantics are per-connection, as in OpenFlow: a
+(** Deliver a control message arriving on controller connection [conn]
+    (call through a channel to model controller→switch latency). Barrier semantics are per-connection, as in OpenFlow: a
     barrier covers only the flow-mods that arrived on [conn], and its
     reply is emitted on [conn]'s channel. *)
 
@@ -119,10 +109,6 @@ val inject : t -> Packet.t -> unit
 
 val table : t -> Flowtable.t
 val table_misses : t -> int
-
-val table_generation : t -> int
-(** Flow-table generation: bumped by every applied flow-mod. Decisions
-    memoized under an older generation are never served. *)
 
 val decision_cache_stats : t -> int * int
 (** [(hits, misses)] of the flow table's per-flow decision cache. *)

@@ -51,7 +51,7 @@ let test_clean_sharded () =
   H.run_with tb ~at:0.5 (fun () ->
       match
         Proc.Ivar.read
-          (Move.submit_sharded tb.H.fab.Fabric.group (op_spec tb))
+          (Move.submit tb.H.fab.Fabric.sched (op_spec tb))
       with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "move failed: %a" Op_error.pp e);
@@ -201,7 +201,7 @@ let par_traces c =
       Proc.spawn fab.Fabric.engine (fun () ->
           List.map
             (fun (i, src, dst) ->
-              Move.submit_sharded fab.Fabric.group
+              Move.submit fab.Fabric.sched
                 (Move.spec ~src ~dst ~filter:(pair_filter i)
                    ~guarantee:Move.Loss_free ~parallel:true ()))
             pairs

@@ -271,7 +271,8 @@ type sw_bed = {
   audit : Audit.t;
   sw : Switch.t;
   received : (string * int) list ref;  (* port, packet id *)
-  ctrl_msgs : Switch.from_switch list ref;
+  ctrl_msgs : (float * Switch.from_switch) list ref;
+      (** Arrival time and message, newest first. *)
 }
 
 let switch_bed ?flow_mod_delay () =
@@ -289,13 +290,14 @@ let switch_bed ?flow_mod_delay () =
   attach "nf2";
   let ctrl_msgs = ref [] in
   let to_ctrl = Channel.create e ~latency:0.0001 ~name:"sw->ctrl" () in
-  Channel.set_handler to_ctrl (fun m -> ctrl_msgs := m :: !ctrl_msgs);
-  Switch.set_controller sw to_ctrl;
+  Channel.set_handler to_ctrl (fun m ->
+      ctrl_msgs := (Engine.now e, m) :: !ctrl_msgs);
+  Switch.register_controller_at sw ~conn:0 to_ctrl;
   { e; audit; sw; received; ctrl_msgs }
 
 let test_switch_forwards_by_rule () =
   let b = switch_bed () in
-  Switch.control b.sw
+  Switch.control_from b.sw ~conn:0
     (Switch.Install
        { cookie = 1; priority = 100; filters = [ Filter.any ];
          actions = [ Flowtable.Forward "nf1" ] });
@@ -306,7 +308,7 @@ let test_switch_forwards_by_rule () =
 
 let test_switch_flow_mod_delay () =
   let b = switch_bed ~flow_mod_delay:0.010 () in
-  Switch.control b.sw
+  Switch.control_from b.sw ~conn:0
     (Switch.Install
        { cookie = 1; priority = 100; filters = [ Filter.any ];
          actions = [ Flowtable.Forward "nf1" ] });
@@ -322,7 +324,7 @@ let test_switch_flow_mod_delay () =
 
 let test_switch_packet_in_and_multi_action () =
   let b = switch_bed () in
-  Switch.control b.sw
+  Switch.control_from b.sw ~conn:0
     (Switch.Install
        { cookie = 1; priority = 100; filters = [ Filter.any ];
          actions = [ Flowtable.Forward "nf1"; Flowtable.To_controller ] });
@@ -331,33 +333,23 @@ let test_switch_packet_in_and_multi_action () =
   Engine.run b.e;
   Alcotest.(check (list (pair string int))) "forwarded" [ ("nf1", 7) ] !(b.received);
   match !(b.ctrl_msgs) with
-  | [ Switch.Packet_in { packet; _ } ] ->
+  | [ (_, Switch.Packet_in { packet; _ }) ] ->
     Alcotest.(check int) "packet-in id" 7 packet.Packet.id
   | _ -> Alcotest.fail "expected exactly one packet-in"
 
 let test_switch_barrier_after_mods () =
   let b = switch_bed ~flow_mod_delay:0.010 () in
-  Switch.control b.sw
+  Switch.control_from b.sw ~conn:0
     (Switch.Install
        { cookie = 1; priority = 100; filters = [ Filter.any ];
          actions = [ Flowtable.Forward "nf1" ] });
-  Switch.control b.sw (Switch.Barrier { id = 9 });
-  let reply_at = ref 0.0 in
-  let saw = ref false in
-  Channel.set_handler
-    (let ch = Channel.create b.e ~latency:0.0 ~name:"x" () in
-     Switch.set_controller b.sw ch;
-     ch)
-    (fun m ->
-      match m with
-      | Switch.Barrier_reply { id } ->
-        Alcotest.(check int) "id echo" 9 id;
-        saw := true;
-        reply_at := Engine.now b.e
-      | Switch.Packet_in _ -> ());
+  Switch.control_from b.sw ~conn:0 (Switch.Barrier { id = 9 });
   Engine.run b.e;
-  Alcotest.(check bool) "reply seen" true !saw;
-  Alcotest.(check bool) "after flow-mod applied" true (!reply_at >= 0.010)
+  match !(b.ctrl_msgs) with
+  | [ (reply_at, Switch.Barrier_reply { id }) ] ->
+    Alcotest.(check int) "id echo" 9 id;
+    Alcotest.(check bool) "after flow-mod applied" true (reply_at >= 0.010)
+  | _ -> Alcotest.fail "expected exactly one barrier reply"
 
 let test_switch_packet_out_rate_limit () =
   let e = Engine.create () in
@@ -368,7 +360,7 @@ let test_switch_packet_out_rate_limit () =
   Channel.set_handler ch (fun (_ : Packet.t) -> times := Engine.now e :: !times);
   Switch.attach_port sw ~name:"nf1" ch;
   for i = 0 to 4 do
-    Switch.control sw
+    Switch.control_from sw ~conn:0
       (Switch.Packet_out
          { port = "nf1"; packet = Packet.create ~id:i ~key ~sent_at:0.0 () })
   done;

@@ -72,7 +72,7 @@ let run_moves ?workers fab specs =
   let results = ref [] in
   Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
       Proc.spawn fab.Fabric.engine (fun () ->
-          let ivars = List.map (Move.submit_sharded fab.Fabric.group) specs in
+          let ivars = List.map (Move.submit fab.Fabric.sched) specs in
           results := List.map Proc.Ivar.read ivars));
   Fabric.run ?workers fab;
   !results
@@ -238,7 +238,7 @@ let share_outcome ?par () =
   Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
       Proc.spawn fab.Fabric.engine (fun () ->
           match
-            Share.start fab.Fabric.ctrl ~shard_group:fab.Fabric.group
+            Share.start fab.Fabric.ctrl ~sched:fab.Fabric.sched
               ~instances:[ p0.src; p0.dst ] ~filter:(two_sided 0)
               ~consistency:Share.Strong ()
           with

@@ -158,7 +158,7 @@ let test_disjoint_moves_concurrent () =
       Alcotest.(check int) "src drained" 0 (Dummy.flow_count p.d1);
       Alcotest.(check int) "dst imported all" flows (Dummy.imported_count p.d2))
     pairs;
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.sched 0) in
   Alcotest.(check int) "all admitted at once" n stats.Sched.peak_active;
   Alcotest.(check int) "all completed" n stats.Sched.completed;
   (* Overlap in virtual time: the makespan must undercut the sum of the
@@ -189,7 +189,7 @@ let test_overlapping_moves_serialize () =
     reports;
   Alcotest.(check int) "flows back at the source" flows (Dummy.flow_count p.d1);
   Alcotest.(check int) "destination drained" 0 (Dummy.flow_count p.d2);
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.sched 0) in
   Alcotest.(check int) "never ran together" 1 stats.Sched.peak_active;
   Alcotest.(check int) "second waited" 1 stats.Sched.peak_waiting
 
@@ -199,7 +199,7 @@ let test_cap_one_serializes_everything () =
   let specs = List.mapi (fun i p -> spec_for ~filter:(two_sided i) p) pairs in
   let results, _ = run_scheduled fab specs in
   List.iter (fun r -> ignore (Op_error.ok_exn r)) results;
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.sched 0) in
   Alcotest.(check int) "cap respected" 1 stats.Sched.peak_active;
   Alcotest.(check int) "all completed" n stats.Sched.completed
 
@@ -230,7 +230,7 @@ let test_share_hold_blocks_move () =
              if the scheduler (wrongly) admitted it. *)
           Proc.sleep 0.5;
           Alcotest.(check int) "move queued behind the share" 1
-            (Sched.waiting_count sched);
+            (Sched.waiting_count (Shard.sched sched 0));
           Alcotest.(check bool) "move not finished under the hold" true
             (Proc.Ivar.peek ivar = None);
           Share.stop share;
@@ -281,7 +281,7 @@ let test_crash_under_concurrency () =
     Alcotest.(check int) "unrelated move unaffected" flows r.Move.per_chunks;
     Alcotest.(check int) "its flows all arrived" flows (Dummy.imported_count p1.d2)
   | _ -> Alcotest.fail "expected two results");
-  let stats = Sched.stats fab.Fabric.sched in
+  let stats = Sched.stats (Shard.sched fab.Fabric.sched 0) in
   Alcotest.(check int) "scheduler retired both" 2 stats.Sched.completed
 
 (* --- southbound batching ------------------------------------------------ *)
@@ -393,7 +393,7 @@ let prop_overlap_conserves_chunks =
             (fun i c -> if i = last then c = flows else c = 0)
             (List.init (List.length counts) Fun.id)
             counts)
-      && (Sched.stats fab.Fabric.sched).Sched.peak_active = 1)
+      && (Sched.stats (Shard.sched fab.Fabric.sched 0)).Sched.peak_active = 1)
 
 let suite =
   [

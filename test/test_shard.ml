@@ -109,7 +109,7 @@ let run_sharded fab specs =
   let finished = ref 0.0 in
   Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
       Proc.spawn fab.Fabric.engine (fun () ->
-          let ivars = List.map (Move.submit_sharded fab.Fabric.group) specs in
+          let ivars = List.map (Move.submit fab.Fabric.sched) specs in
           results := List.map Proc.Ivar.read ivars;
           finished := Engine.now fab.Fabric.engine));
   Fabric.run fab;
@@ -136,14 +136,14 @@ let test_disjoint_sharded_equals_serial () =
   let sharded, sharded_span, fab = outcome ~shards:2 ~n ~flows () in
   Alcotest.(check bool) "semantic outcomes identical" true (serial = sharded);
   Alcotest.(check int) "no cross-shard ops on a disjoint workload" 0
-    (Shard.cross_shard_ops fab.Fabric.group);
+    (Shard.cross_shard_ops fab.Fabric.sched);
   (* Each shard retired its own pairs' moves through its own queue. *)
   List.iter
     (fun k ->
       Alcotest.(check int)
         (Printf.sprintf "shard %d completed its moves" k)
         (n / 2)
-        (Sched.stats (Fabric.sched_of fab k)).Sched.completed)
+        (Sched.stats (Shard.sched fab.Fabric.sched k)).Sched.completed)
     [ 0; 1 ];
   (* Two controller CPUs overlap in virtual time. *)
   Alcotest.(check bool)
@@ -197,7 +197,7 @@ let prads_run ?resilience ?shards () =
           ~guarantee:Move.Order_preserving ~parallel:true ()
       in
       result :=
-        Some (Proc.Ivar.read (Move.submit_sharded tb.H.fab.Fabric.group spec)));
+        Some (Proc.Ivar.read (Move.submit tb.H.fab.Fabric.sched spec)));
   let report =
     match !result with
     | Some (Ok r) -> r
@@ -210,9 +210,9 @@ let test_cross_shard_move_semantics () =
   let tb1, r1 = prads_run () in
   let tb2, r2 = prads_run ~shards:2 () in
   Alcotest.(check int) "handshake admitted the move" 1
-    (Shard.cross_shard_ops tb2.H.fab.Fabric.group);
+    (Shard.cross_shard_ops tb2.H.fab.Fabric.sched);
   Alcotest.(check int) "serial fabric has no cross-shard ops" 0
-    (Shard.cross_shard_ops tb1.H.fab.Fabric.group);
+    (Shard.cross_shard_ops tb1.H.fab.Fabric.sched);
   H.assert_loss_free tb2;
   H.assert_order_preserved_per_flow tb2;
   Alcotest.(check int) "same chunks as the serial move" r1.Move.per_chunks
@@ -247,7 +247,7 @@ let test_cross_shard_move_under_faults () =
           ~guarantee:Move.Loss_free ~parallel:true ()
       in
       result :=
-        Some (Proc.Ivar.read (Move.submit_sharded tb.H.fab.Fabric.group spec)));
+        Some (Proc.Ivar.read (Move.submit tb.H.fab.Fabric.sched spec)));
   (match !result with
   | Some (Ok r) ->
     Alcotest.(check bool) "all flows carried" true (r.Move.per_chunks > 0)
@@ -256,7 +256,7 @@ let test_cross_shard_move_under_faults () =
   | None -> Alcotest.fail "move never ran");
   H.assert_loss_free tb;
   Alcotest.(check int) "cross-shard handshake used" 1
-    (Shard.cross_shard_ops tb.H.fab.Fabric.group)
+    (Shard.cross_shard_ops tb.H.fab.Fabric.sched)
 
 (* Two conflicting cross-shard moves (there and back over the same
    filter): the handshake must serialize them on both shards, and the
@@ -288,7 +288,7 @@ let test_cross_shard_serialization () =
   Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
       Proc.spawn fab.Fabric.engine (fun () ->
           let ivars =
-            List.map (Move.submit_sharded fab.Fabric.group) [ there; back ]
+            List.map (Move.submit fab.Fabric.sched) [ there; back ]
           in
           results := List.map Proc.Ivar.read ivars));
   Fabric.run fab;
@@ -301,14 +301,72 @@ let test_cross_shard_serialization () =
   Alcotest.(check int) "flows back at the source" flows (Dummy.flow_count d1);
   Alcotest.(check int) "destination drained" 0 (Dummy.flow_count d2);
   Alcotest.(check int) "both admissions crossed shards" 2
-    (Shard.cross_shard_ops fab.Fabric.group);
+    (Shard.cross_shard_ops fab.Fabric.sched);
   List.iter
     (fun k ->
       Alcotest.(check int)
         (Printf.sprintf "shard %d never ran the legs together" k)
         1
-        (Sched.stats (Fabric.sched_of fab k)).Sched.peak_active)
+        (Sched.stats (Shard.sched fab.Fabric.sched k)).Sched.peak_active)
     [ 0; 1 ]
+
+(* A notify enable is a short read of its instance, admitted through the
+   group on the instance's home shard: with the NF homed on shard 1 and a
+   move of the same flows in flight there, the enable must queue behind
+   the move on shard 1's scheduler — and shard 0's must never see it. *)
+let test_notify_admitted_through_group () =
+  let flows = 6 in
+  let fab = Fabric.create ~seed:5 ~shards:2 () in
+  let d1 = Dummy.create () and d2 = Dummy.create () in
+  Dummy.seed_flows d1 (List.init flows (key_in_subnet 0));
+  let src, _ =
+    Fabric.add_nf fab ~shard:1 ~name:"src0" ~impl:(Dummy.impl d1)
+      ~costs:Costs.dummy
+  in
+  let dst, _ =
+    Fabric.add_nf fab ~shard:1 ~name:"dst0" ~impl:(Dummy.impl d2)
+      ~costs:Costs.dummy
+  in
+  Proc.spawn fab.engine (fun () ->
+      Controller.set_route fab.ctrl (two_sided 0) src);
+  let spec =
+    Move.spec ~src ~dst ~filter:(two_sided 0) ~guarantee:Move.Loss_free
+      ~parallel:true ()
+  in
+  let move = ref None and enabled_at = ref None in
+  Engine.schedule_at fab.Fabric.engine 0.1 (fun () ->
+      let ivar = Move.submit fab.Fabric.sched spec in
+      Proc.spawn fab.Fabric.engine (fun () ->
+          let home = Shard.ctrl fab.Fabric.sched 1 in
+          match
+            Notify.enable ~sched:fab.Fabric.sched home src (two_sided 0)
+              (fun _ -> ())
+          with
+          | Ok _ -> enabled_at := Some (Engine.now fab.Fabric.engine)
+          | Error e -> Alcotest.failf "enable: %s" (Op_error.to_string e));
+      Proc.spawn fab.Fabric.engine (fun () -> move := Some (Proc.Ivar.read ivar)));
+  Fabric.run fab;
+  let report =
+    match !move with
+    | Some r -> Op_error.ok_exn r
+    | None -> Alcotest.fail "move never finished"
+  in
+  (match !enabled_at with
+  | Some at ->
+    Alcotest.(check bool)
+      (Printf.sprintf "enable waited for the move (%.4f >= %.4f)" at
+         report.Move.finished)
+      true
+      (at >= report.Move.finished)
+  | None -> Alcotest.fail "enable never completed");
+  let home = Sched.stats (Shard.sched fab.Fabric.sched 1) in
+  Alcotest.(check int) "home shard admitted move + enable" 2
+    home.Sched.admitted;
+  Alcotest.(check int) "home shard retired both" 2 home.Sched.completed;
+  Alcotest.(check int) "shard 0 never saw the enable" 0
+    (Sched.stats (Shard.sched fab.Fabric.sched 0)).Sched.admitted;
+  Alcotest.(check int) "no cross-shard admission" 0
+    (Shard.cross_shard_ops fab.Fabric.sched)
 
 (* --- crash containment ---------------------------------------------------- *)
 
@@ -344,7 +402,7 @@ let test_crash_contained_to_one_shard () =
       Alcotest.(check int)
         (Printf.sprintf "shard %d retired its move" k)
         1
-        (Sched.stats (Fabric.sched_of fab k)).Sched.completed)
+        (Sched.stats (Shard.sched fab.Fabric.sched k)).Sched.completed)
     [ 0; 1 ]
 
 (* --- single-shard smoke --------------------------------------------------- *)
@@ -357,7 +415,7 @@ let test_one_shard_smoke () =
   let obs = Opennf_obs.Hub.create ~metrics:true () in
   let fab = Fabric.create ~seed:5 ~obs () in
   Alcotest.(check int) "default shard count" 1 (Fabric.shards fab);
-  Alcotest.(check int) "group of one" 1 (Shard.count fab.Fabric.group);
+  Alcotest.(check int) "group of one" 1 (Shard.count fab.Fabric.sched);
   let d1 = Dummy.create () and d2 = Dummy.create () in
   Dummy.seed_flows d1 (List.init 6 (key_in_subnet 0));
   let src, _ =
@@ -376,7 +434,7 @@ let test_one_shard_smoke () =
   let r = Op_error.ok_exn (List.hd results) in
   Alcotest.(check int) "move carried every flow" 6 r.Move.per_chunks;
   Alcotest.(check int) "no cross-shard ops" 0
-    (Shard.cross_shard_ops fab.Fabric.group);
+    (Shard.cross_shard_ops fab.Fabric.sched);
   let contains_sub hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -437,6 +495,8 @@ let suite =
       test_cross_shard_move_under_faults;
     Alcotest.test_case "conflicting cross-shard moves serialize" `Quick
       test_cross_shard_serialization;
+    Alcotest.test_case "notify enable admitted on the home shard" `Quick
+      test_notify_admitted_through_group;
     Alcotest.test_case "crash contained to one shard" `Quick
       test_crash_contained_to_one_shard;
     Alcotest.test_case "one-shard smoke: plumbing only" `Quick
