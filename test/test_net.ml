@@ -275,6 +275,10 @@ type sw_bed = {
       (** Arrival time and message, newest first. *)
 }
 
+(* Latency of the bed's switch->controller channel: [ctrl_msgs] records
+   arrival times, so a message emitted at [t] is seen at [t +. ctrl_latency]. *)
+let ctrl_latency = 0.0001
+
 let switch_bed ?flow_mod_delay () =
   let e = Engine.create () in
   let audit = Audit.create e in
@@ -289,7 +293,7 @@ let switch_bed ?flow_mod_delay () =
   attach "nf1";
   attach "nf2";
   let ctrl_msgs = ref [] in
-  let to_ctrl = Channel.create e ~latency:0.0001 ~name:"sw->ctrl" () in
+  let to_ctrl = Channel.create e ~latency:ctrl_latency ~name:"sw->ctrl" () in
   Channel.set_handler to_ctrl (fun m ->
       ctrl_msgs := (Engine.now e, m) :: !ctrl_msgs);
   Switch.register_controller_at sw ~conn:0 to_ctrl;
@@ -348,7 +352,9 @@ let test_switch_barrier_after_mods () =
   match !(b.ctrl_msgs) with
   | [ (reply_at, Switch.Barrier_reply { id }) ] ->
     Alcotest.(check int) "id echo" 9 id;
-    Alcotest.(check bool) "after flow-mod applied" true (reply_at >= 0.010)
+    (* Emitted no earlier than the 10 ms flow-mod delay, plus the link. *)
+    Alcotest.(check bool) "after flow-mod applied" true
+      (reply_at >= 0.010 +. ctrl_latency)
   | _ -> Alcotest.fail "expected exactly one barrier reply"
 
 let test_switch_packet_out_rate_limit () =
