@@ -5,8 +5,8 @@
 
    - ordered stores: what does a bulk scoped get (the getPerflow
      enumeration behind a move of every flow) cost at 10k / 100k / 1M
-     flows on the always-sorted walk, against the retained
-     sort-per-call reference ([Store.Perflow.matching_reference])?
+     flows on the always-sorted walk, against the sort-per-call
+     reference ([Opennf_oracle.perflow_matching])?
    - allocation: how many minor-heap words does one getPerflow
      (enumerate + scratch-buffer chunk encode) burn?
    - throughput: how many simulation events per wall second does the
@@ -14,8 +14,9 @@
      resident state — preload (building the flows) is timed separately,
      and the GC's minor/major collection counts and major-heap words
      over the window say *why* a heap hurts or doesn't.
-   - schedulers: the timing wheel and the reference binary heap must
-     produce identical virtual-time results on the same scenario.
+   - schedulers: the timing wheel must reproduce, on a fixed scenario,
+     the virtual-time record the retired reference binary heap
+     produced (pinned below), and drain its queue.
 
    Sizes come from OPENNF_SCALE_SIZES (e.g. "10k 100k 1m"), defaulting
    to the full sweep; the @bench-check smoke run sets small sizes.
@@ -109,7 +110,7 @@ let bench_get n =
   in
   let g_ref =
     wall_per ~iters:(max 1 (50_000 / n)) (fun () ->
-        ignore (Opennf_state.Store.Perflow.matching_reference store Filter.any))
+        ignore (Opennf_oracle.perflow_matching store Filter.any))
   in
   (* Allocation cost of one single-flow getPerflow: enumerate the
      matching flowid, then serialize its connection through the
@@ -130,14 +131,15 @@ let bench_get n =
 (* --- event throughput under load ----------------------------------------- *)
 
 (* Virtual-time results only: everything here must be bit-identical
-   across schedulers, domains and instrumentation, so the pool- and
-   scheduler-equivalence checks compare whole values. *)
+   across domains and instrumentation, so the pool check and the
+   scheduler pin compare whole values. *)
 type scenario_result = {
   sc_events : int;
   sc_virtual_end : float;
   sc_conns : int;
   sc_assets : int;
   sc_stats : int * int * int;
+  sc_pending : int; (* events left queued after the run *)
 }
 
 (* Wall-clock and GC costs of one scenario, phase-split: [c_preload]
@@ -186,6 +188,7 @@ let scenario_full ~seed ~preload ~flows ~rate ~duration () =
       sc_conns = Opennf_nfs.Prads.connection_count prads1;
       sc_assets = Opennf_nfs.Prads.asset_count prads1;
       sc_stats = Opennf_nfs.Prads.stats prads1;
+      sc_pending = Engine.pending fab.engine;
     },
     {
       c_preload = t1 -. t0;
@@ -202,21 +205,26 @@ let bench_throughput n =
   scenario_full ~seed:(31 + n) ~preload:n ~flows:500 ~rate:20_000.0
     ~duration:1.0 ()
 
-(* --- scheduler equivalence ----------------------------------------------- *)
+(* --- scheduler pin ---------------------------------------------------------- *)
 
-(* The same scenario under the reference binary heap and the timing
-   wheel: every virtual-time field (events dispatched, final clock,
-   NF state digest) must match exactly, or the wheel broke the
-   (time, seq) dispatch order. *)
+(* The seed-77 scenario's record under the reference binary heap the
+   engine used to ship: every virtual-time field (events dispatched,
+   final clock, NF state digest) must still match exactly, with the
+   queue drained. The engine checks (time, seq) order on every
+   dispatch; this pins that the timing wheel also reproduces the
+   heap's full-stack results. *)
+let heap_record =
+  {
+    sc_events = 9888;
+    sc_virtual_end = 0.6700749999999589;
+    sc_conns = 2200;
+    sc_assets = 234;
+    sc_stats = (5288, 310022, 2200);
+    sc_pending = 0;
+  }
+
 let bench_schedulers () =
-  let run kind =
-    Unix.putenv "OPENNF_SCHEDULER" kind;
-    scenario ~seed:77 ~preload:2_000 ~flows:200 ~rate:5_000.0 ~duration:0.5 ()
-  in
-  let heap = run "heap" in
-  let wheel = run "wheel" in
-  Unix.putenv "OPENNF_SCHEDULER" "";
-  (heap, wheel)
+  scenario ~seed:77 ~preload:2_000 ~flows:200 ~rate:5_000.0 ~duration:0.5 ()
 
 (* --- domain pool --------------------------------------------------------- *)
 
@@ -352,11 +360,10 @@ let run () =
       set "gc_major_words_per_event"
         (c.c_major_words /. float_of_int r.sc_events))
     rows;
-  let heap, wheel = bench_schedulers () in
-  let sched_ok = heap = wheel in
-  H.note "schedulers: heap %d events / wheel %d events, virtual results %s"
-    heap.sc_events wheel.sc_events
-    (if sched_ok then "identical" else "DIVERGED");
+  let sched = bench_schedulers () in
+  let sched_ok = sched = heap_record in
+  H.note "schedulers: %d events, virtual results %s" sched.sc_events
+    (if sched_ok then "match the pinned heap record" else "DIVERGED");
   let pool = bench_pool ~preload:(List.fold_left Stdlib.min max_int sizes) in
   if pool.p_dispatch then
     H.note
@@ -477,8 +484,8 @@ let run () =
               row.sh_wall.H.t_repeats digests_ok par_fields)
           shard_rows));
   Printf.fprintf oc
-    "  \"schedulers\": {\"heap_events\": %d, \"wheel_events\": %d, \"virtual_end\": %.6f, \"identical\": %b},\n"
-    heap.sc_events wheel.sc_events wheel.sc_virtual_end sched_ok;
+    "  \"schedulers\": {\"events\": %d, \"virtual_end\": %.6f, \"pinned\": %b},\n"
+    sched.sc_events sched.sc_virtual_end sched_ok;
   Printf.fprintf oc
     "  \"pool\": {\"scenarios\": %d, \"domains\": %d, \"dispatch\": %b, \"serial_wall_ms\": %.1f, \"pool_wall_ms\": %.1f, \"speedup\": %.2f, \"deterministic\": %b}\n"
     pool.p_tasks pool.p_domains pool.p_dispatch (1000.0 *. pool.p_serial)
@@ -490,21 +497,23 @@ let run () =
   H.note "wrote BENCH_scale.json";
   H.write_metrics ~bench:"scale" metrics_hub
 
-(* Standalone smoke for @bench-check: the same scenario under both
-   schedulers, failing the build on any virtual-time divergence. *)
+(* Standalone gate for @bench-check: the pinned scenario, failing the
+   build on any virtual-time divergence from the heap record. *)
 let run_schedcheck () =
-  H.section "Scheduler equivalence (binary heap vs timing wheel)";
-  let heap, wheel = bench_schedulers () in
+  H.section "Scheduler pin (timing wheel vs the reference heap's record)";
+  let r = bench_schedulers () in
   H.note
-    "heap: %d events, clock %.6f | wheel: %d events, clock %.6f | digest %s"
-    heap.sc_events heap.sc_virtual_end wheel.sc_events wheel.sc_virtual_end
-    (if heap = wheel then "identical" else "DIVERGED");
-  if heap <> wheel then
-    failwith "scheduler check: wheel diverged from the reference heap"
+    "wheel: %d events, clock %.6f, %d pending | heap record: %d events, \
+     clock %.6f | %s"
+    r.sc_events r.sc_virtual_end r.sc_pending heap_record.sc_events
+    heap_record.sc_virtual_end
+    (if r = heap_record then "identical" else "DIVERGED");
+  if r <> heap_record then
+    failwith "scheduler check: wheel diverged from the pinned heap record"
 
 let () =
   H.register ~id:"scale"
     ~descr:"wall-clock scaling: ordered getPerflow, allocation, domain pool" run;
   H.register ~id:"schedcheck"
-    ~descr:"timing wheel vs binary heap: virtual-time equivalence smoke"
+    ~descr:"timing wheel vs the pinned heap record: virtual-time gate"
     run_schedcheck

@@ -147,13 +147,8 @@ let run_trace flows rate seed out timeline shards =
             Move.spec ~src:nf1 ~dst:nf2 ~filter:Filter.any
               ~guarantee:Move.Loss_free ~parallel:true ()
           in
-          (* The serial path stays exactly the pre-shard one (direct run,
-             no scheduler spans); sharded traces go through the
-             cross-shard handshake. *)
           let report =
-            Op_error.ok_exn
-              (if shards <= 1 then Move.run fab.ctrl spec
-               else Proc.Ivar.read (Move.submit fab.Fabric.sched spec))
+            Op_error.ok_exn (Proc.Ivar.read (Move.submit fab.Fabric.sched spec))
           in
           Format.printf "%a@." Move.pp_report report));
   Fabric.run fab;

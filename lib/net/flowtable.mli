@@ -39,11 +39,6 @@ val lookup : t -> Packet.t -> rule option
     Install/remove invalidate memoized decisions (generation counter),
     so results are always identical to a full linear scan. *)
 
-val lookup_reference : t -> Packet.t -> rule option
-(** Oracle: unindexed linear scan over all rules, bypassing both indexes
-    and the decision cache. Same winner as {!lookup}, but does not
-    increment [matched]. For tests and benchmarks. *)
-
 val find : t -> cookie:int -> rule option
 val rules : t -> rule list
 (** Most recently installed first. *)

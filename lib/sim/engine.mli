@@ -7,20 +7,17 @@
 
 type t
 
-val create :
-  ?seed:int -> ?obs:Opennf_obs.Hub.t -> ?queue:[ `Wheel | `Heap ] -> unit -> t
+val create : ?seed:int -> ?obs:Opennf_obs.Hub.t -> unit -> t
 (** [create ~seed ()] makes an engine whose clock is at 0.0 and whose
     root RNG is seeded with [seed] (default 1). [obs] (default
     {!Opennf_obs.Hub.disabled}) is the observability hub; the engine
     installs its virtual clock as the hub's trace timebase and counts
     dispatched events under ["engine.events"].
 
-    [queue] selects the event-queue implementation: [`Wheel] (default)
-    is an O(1)-amortized calendar-queue timing wheel; [`Heap] is the
-    reference O(log n) binary heap. Both dispatch in identical
-    (time, seq) order, so simulation results do not depend on the
-    choice. When [queue] is omitted, the [OPENNF_SCHEDULER] environment
-    variable picks ("heap" forces the reference heap). *)
+    Events wait in an O(1)-amortized calendar-queue timing wheel. Every
+    dispatch checks that it comes strictly after the previous one in
+    (time, seq) order and raises [Failure "Engine: dispatch order
+    violated"] otherwise. *)
 
 val obs : t -> Opennf_obs.Hub.t
 (** The hub this engine was created with, for components to share. *)
@@ -44,14 +41,12 @@ val run : ?until:float -> t -> unit
 
 (** {2 Bounded stepping}
 
-    First-class bounded-advance entry points for external coordinators
-    (see {!Par}): unlike piggybacking on [run ?until], they report why
-    they stopped and never fast-forward the clock past the last
-    dispatched event. All three entry points share one dispatch path,
-    and both queue implementations ([`Wheel] and [`Heap]) pop in
-    identical (time, seq) order, so a simulation driven by [step] /
-    [run_until] observes exactly the event sequence a free [run] would
-    — bounded stepping cannot perturb determinism. *)
+    First-class single-event entry points for external coordinators
+    (see {!Par}): unlike piggybacking on [run ?until], they never
+    fast-forward the clock past the last dispatched event. [step] and
+    [run] share one dispatch path, so a simulation driven by [step]
+    observes exactly the event sequence a free [run] would — bounded
+    stepping cannot perturb determinism. *)
 
 val next_time : t -> float
 (** Virtual time of the earliest pending event, or [infinity] when the
@@ -62,15 +57,6 @@ val step : t -> bool
     [false] if the queue was empty. Raises [Invalid_argument
     "Engine.step: engine is already running"] when called from inside
     an executing event or a live [run]. *)
-
-type stop = Empty | Reached_until
-
-val run_until : t -> until:float -> stop
-(** Dispatch events while their time is [<= until]. Returns [Empty]
-    when the queue ran dry, [Reached_until] when the next pending event
-    lies beyond [until] (the clock is left at the last dispatched
-    event, NOT advanced to [until] — the caller owns the horizon).
-    Raises [Invalid_argument] on re-entrant use, like {!step}. *)
 
 val pending : t -> int
 (** Number of queued events. *)

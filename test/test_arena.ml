@@ -9,9 +9,10 @@
    - an arena-backed per-flow store must be observationally identical
      to a boxed reference model under random churn
      (insert/mutate/delete/match);
-   - the timing-wheel scheduler must dispatch in exactly the reference
-     binary heap's (time, seq) order on random schedules, including
-     ties, zero delays, nested scheduling and far-future timers;
+   - the timing-wheel scheduler must dispatch in exactly a test-side
+     reference queue's (time, seq) order on random schedules, including
+     ties, zero delays, nested scheduling and far-future timers, and on
+     one schedule big enough to grow and shrink the wheel;
    - NAT port allocation must wrap within its configured range and
      recycle ports of Closed entries instead of marching past 65535. *)
 
@@ -223,13 +224,51 @@ let pfa_equiv =
             !stale)
         ops)
 
-(* --- timing wheel vs binary heap --------------------------------------- *)
+(* --- timing wheel vs a reference queue ----------------------------------- *)
+
+(* Test-side reference scheduler: thunks in a [Map] keyed by
+   (time, seq), popped in key order — the order the wheel must keep. *)
+module Ref_queue = Map.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
+
+(* One schedule, driven through either scheduler. *)
+type sched = {
+  schedule : delay:float -> (unit -> unit) -> unit;
+  now : unit -> float;
+  run : unit -> unit;
+}
+
+let engine_sched e =
+  {
+    schedule = Engine.schedule e;
+    now = (fun () -> Engine.now e);
+    run = (fun () -> Engine.run e);
+  }
+
+let ref_sched () =
+  let q = ref Ref_queue.empty and now = ref 0.0 and seq = ref 0 in
+  let schedule ~delay f =
+    q := Ref_queue.add (!now +. delay, !seq) f !q;
+    incr seq
+  in
+  let rec run () =
+    match Ref_queue.min_binding_opt !q with
+    | None -> ()
+    | Some (((time, _) as k), f) ->
+      q := Ref_queue.remove k !q;
+      now := time;
+      f ();
+      run ()
+  in
+  { schedule; now = (fun () -> !now); run }
 
 (* Random schedules on a coarse grid (frequent exact ties), with zero
-   delays and nested scheduling from inside thunks. Both engines must
+   delays and nested scheduling from inside thunks. Both schedulers must
    log the same ((time, seq-order) → id) dispatch sequence. *)
-let run_schedule queue ops =
-  let e = Engine.create ~queue () in
+let run_schedule d ops =
   let log = ref [] in
   let n = ref 0 in
   List.iter
@@ -237,37 +276,93 @@ let run_schedule queue ops =
       incr n;
       let id = !n in
       let delay = float_of_int (a land 31) /. 8.0 in
-      Engine.schedule e ~delay (fun () ->
-          log := (Engine.now e, id) :: !log;
+      d.schedule ~delay (fun () ->
+          log := (d.now (), id) :: !log;
           match c mod 4 with
           | 0 ->
             (* Nested: relative delay, including zero. *)
-            Engine.schedule e ~delay:(float_of_int (b land 7) /. 8.0) (fun () ->
-                log := (Engine.now e, -id) :: !log)
+            d.schedule ~delay:(float_of_int (b land 7) /. 8.0) (fun () ->
+                log := (d.now (), -id) :: !log)
           | 1 when b land 1 = 0 ->
             (* Far-future: exercises the wheel's overflow path. *)
-            Engine.schedule e ~delay:1.0e9 (fun () ->
-                log := (Engine.now e, 1_000_000 + id) :: !log)
+            d.schedule ~delay:1.0e9 (fun () ->
+                log := (d.now (), 1_000_000 + id) :: !log)
           | _ -> ()))
     ops;
-  Engine.run e;
-  (List.rev !log, Engine.processed e, Engine.now e)
+  d.run ();
+  (List.rev !log, d.now ())
 
-let wheel_heap_equiv =
-  QCheck.Test.make ~name:"timing wheel == binary heap dispatch order (random)"
+let show_head = function
+  | (t, i) :: _ -> Printf.sprintf "(%g,%d)" t i
+  | [] -> "-"
+
+let wheel_ref_equiv =
+  QCheck.Test.make ~name:"timing wheel == reference queue dispatch order (random)"
     ~count:120 ops_arb (fun ops ->
-      let heap = run_schedule `Heap ops in
-      let wheel = run_schedule `Wheel ops in
-      if heap <> wheel then
-        let (lh, ph, _), (lw, pw, _) = (heap, wheel) in
+      let ((lr, _) as want) = run_schedule (ref_sched ()) ops in
+      let ((lw, _) as got) =
+        run_schedule (engine_sched (Engine.create ())) ops
+      in
+      if want <> got then
         QCheck.Test.fail_reportf
-          "diverged: heap %d dispatches, wheel %d; first heap %s wheel %s" ph pw
-          (match lh with (t, i) :: _ -> Printf.sprintf "(%g,%d)" t i | [] -> "-")
-          (match lw with (t, i) :: _ -> Printf.sprintf "(%g,%d)" t i | [] -> "-")
+          "diverged: reference %d dispatches, wheel %d; first reference %s wheel %s"
+          (List.length lr) (List.length lw) (show_head lr) (show_head lw)
       else true)
 
+(* Scenario scale: 24k root events plus nested ones — enough to grow the
+   wheel well past its 256 buckets and shrink it again while it drains —
+   with random and grid-tied delays, zero delays and far-future timers.
+   Per-id choices are drawn up front so both schedulers run the same
+   schedule whatever order they dispatch in. *)
+let test_wheel_scenario_scale () =
+  let n = 24_000 in
+  let rng = Opennf_util.Rng.create ~seed:2024 in
+  let draw =
+    Array.init n (fun _ ->
+        Array.init 4 (fun _ -> Opennf_util.Rng.int rng (1 lsl 20)))
+  in
+  let delay_of r =
+    match r land 7 with
+    | 0 | 1 -> float_of_int ((r lsr 3) land 63) /. 16.0 (* grid: exact ties *)
+    | 2 -> 0.0
+    | 3 -> 1.0e9 +. float_of_int ((r lsr 3) land 3) (* far future *)
+    | _ -> float_of_int (r lsr 3) *. 1e-5 (* random, up to ~1.3 s *)
+  in
+  let run d ~on_dispatch =
+    let log = ref [] in
+    for id = 0 to n - 1 do
+      let r = draw.(id) in
+      d.schedule ~delay:(delay_of r.(0)) (fun () ->
+          log := (d.now (), id) :: !log;
+          on_dispatch ();
+          if r.(1) land 1 = 0 then
+            d.schedule ~delay:(delay_of r.(2)) (fun () ->
+                log := (d.now (), -id - 1) :: !log;
+                on_dispatch ();
+                if r.(3) land 3 = 0 then
+                  d.schedule ~delay:(delay_of (r.(3) lsr 2)) (fun () ->
+                      log := (d.now (), n + id) :: !log)))
+    done;
+    d.run ();
+    List.rev !log
+  in
+  let want = run (ref_sched ()) ~on_dispatch:ignore in
+  let e = Engine.create () in
+  let peak = ref 0 in
+  let got =
+    run (engine_sched e) ~on_dispatch:(fun () ->
+        peak := max !peak (Engine.pending e))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "grew past 512 pending (peak %d)" !peak) true (!peak > 512);
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e);
+  Alcotest.(check bool)
+    (Printf.sprintf "dispatch log matches the reference queue (%d events)"
+       (List.length want))
+    true (want = got)
+
 let test_wheel_far_future () =
-  let e = Engine.create ~queue:`Wheel () in
+  let e = Engine.create () in
   let log = ref [] in
   Engine.schedule e ~delay:2.0e9 (fun () -> log := "far" :: !log);
   Engine.schedule e ~delay:0.5 (fun () -> log := "near" :: !log);
@@ -279,24 +374,19 @@ let test_wheel_far_future () =
 
 let test_wheel_many_ties () =
   (* Thousands of events at identical times: FIFO within each instant. *)
-  let e = Engine.create ~queue:`Wheel () in
-  let log = ref [] in
-  for i = 0 to 4_999 do
-    Engine.schedule e ~delay:(float_of_int (i mod 5) /. 10.0) (fun () ->
-        log := i :: !log)
-  done;
-  Engine.run e;
-  let by_heap =
-    let e = Engine.create ~queue:`Heap () in
+  let ties d =
     let log = ref [] in
     for i = 0 to 4_999 do
-      Engine.schedule e ~delay:(float_of_int (i mod 5) /. 10.0) (fun () ->
+      d.schedule ~delay:(float_of_int (i mod 5) /. 10.0) (fun () ->
           log := i :: !log)
     done;
-    Engine.run e;
+    d.run ();
     List.rev !log
   in
-  Alcotest.(check (list int)) "tie order matches heap" by_heap (List.rev !log)
+  Alcotest.(check (list int))
+    "tie order matches the reference queue"
+    (ties (ref_sched ()))
+    (ties (engine_sched (Engine.create ())))
 
 (* --- NAT port allocation (regression) ---------------------------------- *)
 
@@ -380,7 +470,9 @@ let suite =
     Alcotest.test_case "arena: growth and ordered iteration" `Quick
       test_arena_growth_and_iter;
     QCheck_alcotest.to_alcotest pfa_equiv;
-    QCheck_alcotest.to_alcotest wheel_heap_equiv;
+    QCheck_alcotest.to_alcotest wheel_ref_equiv;
+    Alcotest.test_case "wheel: scenario-scale grow and drain" `Quick
+      test_wheel_scenario_scale;
     Alcotest.test_case "wheel: far-future overflow" `Quick
       test_wheel_far_future;
     Alcotest.test_case "wheel: 5k ties keep FIFO" `Quick test_wheel_many_ties;
