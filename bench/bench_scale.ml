@@ -86,7 +86,7 @@ let minor_words_per f ~iters =
 (* --- bulk scoped get ---------------------------------------------------- *)
 
 type get_row = {
-  g_walk : float;  (* ordered in-order walk (Store.Perflow.matching) *)
+  g_walk : float;  (* in-order walk of the per-flow index's sorted mirror *)
   g_ref : float;  (* fold-then-sort reference, the seed's shape *)
   g_words : float;  (* minor words per NF-level getPerflow (list+export) *)
   g_export_words : float;  (* minor words per single chunk export *)
@@ -101,7 +101,7 @@ let bench_get n =
     impl.Opennf_sb.Nf_api.process_packet (packet_of_int i)
   done;
   (* The move-everything enumeration: an unconstrained filter takes the
-     ordered-walk path; the reference folds the hash table and sorts
+     ordered-walk path; the reference folds the store and sorts
      the full result, which is what every scoped get used to pay. *)
   let iters = max 1 (200_000 / n) in
   let g_walk =

@@ -3,12 +3,12 @@ open Opennf_state
 
 type t = {
   chunk_bytes : int;
-  flows : unit Store.Perflow.t;
+  flows : Store.Perflow_arena.t; (* rows only: the state is the key *)
   mutable imported : int;
 }
 
 let create ?(chunk_bytes = 202) () =
-  { chunk_bytes; flows = Store.Perflow.create (); imported = 0 }
+  { chunk_bytes; flows = Store.Perflow_arena.create ~payload:0 (); imported = 0 }
 
 (* Canned state: a fixed structural template (as real serialized state
    shares field layout and label text across chunks) plus per-flow bytes
@@ -26,23 +26,24 @@ let chunk_for t key =
       if i < String.length template then template.[i]
       else Char.chr (Opennf_util.Rng.int rng 256))
 
-let seed_flows t keys = List.iter (fun k -> Store.Perflow.set t.flows k ()) keys
+let add t k = ignore (Store.Perflow_arena.insert t.flows k)
+let seed_flows t keys = List.iter (add t) keys
 
 let impl t =
   {
     Opennf_sb.Nf_api.kind = "dummy";
     process_packet =
-      (fun p -> Store.Perflow.set t.flows p.Packet.key ());
+      (fun p -> add t p.Packet.key);
     list_perflow =
       (fun filter ->
         List.map (fun (k, _) -> Filter.of_key k)
-          (Store.Perflow.matching t.flows filter));
+          (Store.Perflow_arena.matching t.flows filter));
     export_perflow =
       (fun flowid ->
         match Filter.exact_key flowid with
         | None -> None
         | Some key ->
-          if Store.Perflow.mem t.flows key then
+          if Store.Perflow_arena.mem t.flows key then
             Some (Chunk.v ~kind:"dummy" (chunk_for t key))
           else None);
     import_perflow =
@@ -50,12 +51,12 @@ let impl t =
         t.imported <- t.imported + 1;
         match Filter.exact_key flowid with
         | None -> ()
-        | Some key -> Store.Perflow.set t.flows key ());
+        | Some key -> add t key);
     delete_perflow =
       (fun flowid ->
         match Filter.exact_key flowid with
         | None -> ()
-        | Some key -> Store.Perflow.remove t.flows key);
+        | Some key -> ignore (Store.Perflow_arena.remove t.flows key));
     list_multiflow = (fun _ -> []);
     export_multiflow = (fun _ -> None);
     import_multiflow = (fun _ _ -> ());
@@ -64,5 +65,5 @@ let impl t =
     import_allflows = (fun _ -> ());
   }
 
-let flow_count t = Store.Perflow.size t.flows
+let flow_count t = Store.Perflow_arena.size t.flows
 let imported_count t = t.imported

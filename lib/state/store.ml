@@ -1,130 +1,22 @@
+module Arena = Opennf_util.Arena
 module Omap = Opennf_util.Omap
 open Opennf_net
 
 (* Deterministic enumeration: results are in key order so simulation
    runs do not depend on hash-table iteration order. Each store pairs a
-   hash table (O(1) point lookups on the packet path) with an
-   always-sorted mirror ({!Opennf_util.Omap}, O(log n) update), so a
-   scoped enumeration is an in-order walk — never materialize-then-sort
-   on the query path. *)
+   point index (O(1) lookups on the packet path) with an always-sorted
+   mirror ({!Opennf_util.Omap}, O(log n) update), so a scoped
+   enumeration is an in-order walk — never materialize-then-sort on the
+   query path. *)
 
-module Perflow = struct
-  (* Alongside the canonical-keyed value table, a secondary index maps
-     each endpoint address to the set of canonical keys touching it, so
-     host- and prefix-scoped getters enumerate candidates instead of
-     folding the whole store. *)
-  type 'a t = {
-    table : 'a Flow.Table.t;
-    by_host : (Ipaddr.t, Flow.Set.t ref) Hashtbl.t;
-    sorted : (Flow.key, 'a) Omap.t;
-  }
-
-  let create () =
-    {
-      table = Flow.Table.create 64;
-      by_host = Hashtbl.create 64;
-      sorted = Omap.create ~cmp:Flow.compare;
-    }
-
-  let find t k = Flow.Table.find_opt t.table (Flow.canonical k)
-
-  let index_add t ip k =
-    match Hashtbl.find_opt t.by_host ip with
-    | Some s -> s := Flow.Set.add k !s
-    | None -> Hashtbl.replace t.by_host ip (ref (Flow.Set.singleton k))
-
-  let index_remove t ip k =
-    match Hashtbl.find_opt t.by_host ip with
-    | None -> ()
-    | Some s ->
-      s := Flow.Set.remove k !s;
-      if Flow.Set.is_empty !s then Hashtbl.remove t.by_host ip
-
-  let set t k v =
-    let k = Flow.canonical k in
-    if not (Flow.Table.mem t.table k) then begin
-      index_add t k.Flow.src_ip k;
-      index_add t k.Flow.dst_ip k
-    end;
-    Flow.Table.replace t.table k v;
-    Omap.set t.sorted k v
-
-  let remove t k =
-    let k = Flow.canonical k in
-    if Flow.Table.mem t.table k then begin
-      Flow.Table.remove t.table k;
-      index_remove t k.Flow.src_ip k;
-      index_remove t k.Flow.dst_ip k;
-      Omap.remove t.sorted k
-    end
-
-  let mem t k = Flow.Table.mem t.table (Flow.canonical k)
-
-  (* Candidate sets ({!Flow.Set}) already enumerate in [Flow.compare]
-     order, so folding and reversing reproduces the sorted result with
-     no comparison sort at all. *)
-  let of_candidates t filter keys =
-    Flow.Set.fold
-      (fun k acc ->
-        if Filter.matches_flow filter k then
-          match Flow.Table.find_opt t.table k with
-          | Some v -> (k, v) :: acc
-          | None -> acc
-        else acc)
-      keys []
-    |> List.rev
-
-  (* Candidates for an address constraint: a connection matches only if
-     one of its endpoints lies in the prefix ({!Filter.matches_flow}
-     tries both directions), and the index holds every key under both
-     endpoints, so the union over the prefix's hosts is complete. *)
-  let prefix_candidates t p =
-    if Ipaddr.Prefix.bits p = 32 then
-      match Hashtbl.find_opt t.by_host (Ipaddr.Prefix.network p) with
-      | Some s -> !s
-      | None -> Flow.Set.empty
-    else
-      Hashtbl.fold
-        (fun ip s acc ->
-          if Ipaddr.Prefix.mem ip p then Flow.Set.union !s acc else acc)
-        t.by_host Flow.Set.empty
-
-  let matching t filter =
-    match Filter.exact_key filter with
-    | Some key -> (
-      (* O(1): the filter pins one connection. *)
-      let k = Flow.canonical key in
-      match Flow.Table.find_opt t.table k with
-      | Some v -> [ (k, v) ]
-      | None -> [])
-    | None -> (
-      match (filter.Filter.src, filter.Filter.dst) with
-      | Some p, _ | None, Some p ->
-        of_candidates t filter (prefix_candidates t p)
-      | None, None ->
-        (* Unscoped: in-order walk of the sorted mirror. A descending
-           fold with prepend yields the ascending list directly. *)
-        Omap.fold_desc
-          (fun k v acc ->
-            if Filter.matches_flow filter k then (k, v) :: acc else acc)
-          t.sorted [])
-
-  let fold t ~init ~f = Flow.Table.fold (fun k v acc -> f k v acc) t.table init
-  let size t = Flow.Table.length t.table
-end
-
-(* Arena-backed per-flow store: same key semantics as {!Perflow}
-   (canonicalized 5-tuples) but rows live in an {!Opennf_util.Arena}
-   slab — the GC never walks them — and the value is not an OCaml
-   object at all: the NF reads and writes typed fields of the row
-   payload through an integer handle. Point lookups go through a flat
-   open-addressing index (an int array: no buckets, no cons cells);
-   ordered enumeration walks the same {!Opennf_util.Omap} mirror shape
-   as {!Perflow}, except the mirror is keyed by handles and the
-   comparator reads the 5-tuple straight out of the row bytes. *)
+(* The per-flow index: canonicalized 5-tuples in {!Opennf_util.Arena}
+   rows — the GC never walks them — with the NF's state as typed fields
+   of the row payload, addressed by an integer handle. Point lookups go
+   through a flat open-addressing index (an int array: no buckets, no
+   cons cells); ordered enumeration walks an {!Opennf_util.Omap} mirror
+   keyed by handles, whose comparator reads the 5-tuple straight out of
+   the row bytes. *)
 module Perflow_arena = struct
-  module Arena = Opennf_util.Arena
-
   (* Row layout: canonical key at offset 0, payload at {!payload_off}.
      13 key bytes, then padding so NF payload layouts start 8-aligned. *)
   let key_size = 13
@@ -350,6 +242,52 @@ module Perflow_arena = struct
           let k = key_of t h in
           if Filter.matches_flow filter k then (k, h) :: acc else acc)
         t.mirror []
+end
+
+(* Boxed values over the one per-flow index: a payload-free
+   {!Perflow_arena} owns keys, canonicalization, lookup, order and
+   filter matching; [vals] holds each value at its row's arena index
+   (dense, reused after a free). *)
+module Perflow = struct
+  type 'a t = { rows : Perflow_arena.t; mutable vals : 'a option array }
+
+  let create () = { rows = Perflow_arena.create ~payload:0 (); vals = [||] }
+  let[@inline] row t h = Arena.index (Perflow_arena.arena t.rows) h
+  let value t h = Option.get t.vals.(row t h)
+
+  let find t k =
+    let h = Perflow_arena.find t.rows k in
+    if h = Arena.null then None else t.vals.(row t h)
+
+  (* Rows are numbered densely, so a new row is at most one past the
+     column's end. *)
+  let set t k v =
+    let i = row t (Perflow_arena.insert t.rows k) in
+    let n = Array.length t.vals in
+    if i >= n then begin
+      let vals = Array.make (max 64 (2 * n)) None in
+      Array.blit t.vals 0 vals 0 n;
+      t.vals <- vals
+    end;
+    t.vals.(i) <- Some v
+
+  let remove t k =
+    let h = Perflow_arena.find t.rows k in
+    if h <> Arena.null then begin
+      t.vals.(row t h) <- None;
+      ignore (Perflow_arena.remove t.rows k)
+    end
+
+  let mem t k = Perflow_arena.mem t.rows k
+
+  let matching t filter =
+    List.map (fun (k, h) -> (k, value t h)) (Perflow_arena.matching t.rows filter)
+
+  let fold t ~init ~f =
+    Perflow_arena.fold_ordered t.rows ~init ~f:(fun h acc ->
+        f (Perflow_arena.key_of t.rows h) (value t h) acc)
+
+  let size t = Perflow_arena.size t.rows
 end
 
 module Per_host = struct

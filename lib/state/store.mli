@@ -1,16 +1,21 @@
 (** Keyed in-memory stores NFs build their state on.
 
-    These are plain hash tables with filter-aware enumeration, so that
-    NF implementations of [get*] can answer "all state pertaining to
-    flows matching this filter" without bespoke lookup code. They impose
-    no structure on the values — the NF keeps whatever objects it likes,
-    which is the point of the southbound API design (§4.2). *)
+    Each pairs a point index with an always-sorted mirror and answers
+    filter-aware enumeration, so that NF implementations of [get*] can
+    answer "all state pertaining to flows matching this filter" without
+    bespoke lookup code. Per-flow state has one index,
+    {!Perflow_arena}; {!Perflow} is a column of arbitrary OCaml values
+    over it. The stores impose no structure on the values — the NF keeps
+    whatever objects it likes, which is the point of the southbound API
+    design (§4.2). *)
 
 open Opennf_net
 
 module Perflow : sig
   type 'a t
-  (** Connection-scoped state, keyed by the canonical 5-tuple. *)
+  (** Connection-scoped state, keyed by the canonical 5-tuple: one value
+      per row of a payload-free {!Perflow_arena}, which supplies the
+      keys, point lookup, order and filter matching. *)
 
   val create : unit -> 'a t
   val find : 'a t -> Flow.key -> 'a option
@@ -21,24 +26,21 @@ module Perflow : sig
   val mem : 'a t -> Flow.key -> bool
   val matching : 'a t -> Filter.t -> (Flow.key * 'a) list
   (** Entries whose connection matches the filter (either direction),
-      in unspecified but deterministic order.
-
-      Indexed: an exact 5-tuple filter is a single hash probe, and
-      src/dst address constraints enumerate a per-host secondary index
-      instead of the whole store; only filters with no address
-      constraint fall back to a full scan. *)
+      ascending key order, as {!Perflow_arena.matching}. *)
 
   val fold : 'a t -> init:'b -> f:(Flow.key -> 'a -> 'b -> 'b) -> 'b
+  (** Ascending key order. *)
+
   val size : 'a t -> int
 end
 
 module Perflow_arena : sig
   type t
-  (** Connection-scoped state in flat memory: rows of a fixed-stride
-      {!Opennf_util.Arena} slab, addressed by integer handles. Same
-      canonical-key semantics as {!Perflow}, but the GC never traverses
+  (** The per-flow index: connection-scoped state in flat memory, rows
+      of a fixed-stride {!Opennf_util.Arena} slab keyed by the canonical
+      5-tuple and addressed by integer handles. The GC never traverses
       the resident state — the marking cost of a million live flows is
-      a handful of byte slabs, not millions of boxed records. Point
+      a thousand byte slabs, not millions of boxed records. Point
       lookups probe a flat open-addressing int array; ordered
       enumeration walks an {!Opennf_util.Omap} mirror whose comparator
       reads 5-tuples straight out of the row bytes. *)
@@ -61,7 +63,8 @@ module Perflow_arena : sig
 
   val find : t -> Flow.key -> Opennf_util.Arena.handle
   (** Box-free lookup: the live handle, or {!Opennf_util.Arena.null}
-      when absent. Keys are canonicalized, as in {!Perflow.find}. *)
+      when absent. Keys are canonicalized: both directions find the same
+      row. *)
 
   val find_opt : t -> Flow.key -> Opennf_util.Arena.handle option
   val mem : t -> Flow.key -> bool
@@ -77,10 +80,10 @@ module Perflow_arena : sig
   val key_of : t -> Opennf_util.Arena.handle -> Flow.key
 
   val matching : t -> Filter.t -> (Flow.key * Opennf_util.Arena.handle) list
-  (** Entries matching the filter, ascending key order. Exact 5-tuple
-      filters are a single probe; anything else is an in-order walk of
-      the sorted mirror (no per-host index on the arena path — scoped
-      selection on this store is enumeration, not indexed lookup). *)
+  (** Entries whose connection matches the filter (either direction),
+      ascending key order. Exact 5-tuple filters are a single probe;
+      anything else, host- and prefix-scoped filters included, is an
+      in-order walk of the sorted mirror. *)
 
   val iter_ordered : t -> (Opennf_util.Arena.handle -> unit) -> unit
   (** Live handles in ascending key order. *)

@@ -1,6 +1,6 @@
 (* Flat-memory slab arena: fixed-stride rows in Bytes chunks, addressed
    by integer handles. The point is what the GC does NOT see — a
-   million live rows are a handful of byte slabs plus small int arrays,
+   million live rows are a thousand byte slabs plus small int arrays,
    so major-heap marking cost stays flat however much per-flow state an
    NF holds. Boxed record stores are the thing this replaces: at 1M
    flows those put tens of millions of pointered words in front of
@@ -28,9 +28,11 @@ let idx_bits = 32
 let idx_mask = (1 lsl idx_bits) - 1
 let gen_mask = (1 lsl 30) - 1
 
-(* 32k rows per slab: big enough that slab bookkeeping vanishes, small
-   enough that growth never copies row storage. *)
-let slab_bits = 15
+(* 1k rows per slab: small enough that a store of a thousand flows
+   pins little more than its rows, big enough that the slab directory
+   stays tiny (about 1k entries at 1M rows); growth never copies row
+   storage. *)
+let slab_bits = 10
 let slab_rows = 1 lsl slab_bits
 let slab_mask = slab_rows - 1
 
@@ -65,6 +67,8 @@ let[@inline] idx_of t h =
     || Array.unsafe_get (Array.unsafe_get t.gens s) (idx land slab_mask) <> g
   then stale ();
   idx
+
+let index = idx_of
 
 let is_live t h =
   let g = h lsr idx_bits in

@@ -33,6 +33,11 @@ val free : t -> handle -> unit
 (** Return a row to the free list. The handle (and any copy of it)
     becomes invalid immediately. *)
 
+val index : t -> handle -> int
+(** The row number of a live handle: dense from 0, reused once the row
+    is freed, so it can index a side array of per-row values. Raises
+    [Invalid_argument] on a stale handle. *)
+
 val is_live : t -> handle -> bool
 val live : t -> int
 val capacity : t -> int

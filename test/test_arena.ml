@@ -85,9 +85,21 @@ let test_arena_stale_after_reuse () =
        0
      with Invalid_argument _ -> 1)
 
+(* [index] numbers rows densely from 0 — across slab boundaries — and
+   validates the handle like every accessor. *)
+let test_arena_index () =
+  let a = Arena.create ~stride:8 () in
+  let hs = Array.init 3_000 (fun _ -> Arena.alloc a) in
+  Array.iteri
+    (fun i h -> Alcotest.(check int) "dense row number" i (Arena.index a h))
+    hs;
+  Arena.free a hs.(1_500);
+  expect_stale (fun () -> Arena.index a hs.(1_500));
+  Alcotest.(check int) "freed row reused" 1_500 (Arena.index a (Arena.alloc a))
+
 let test_arena_growth_and_iter () =
   let a = Arena.create ~stride:8 () in
-  (* Cross two slab boundaries so growth is exercised. *)
+  (* Cross many (1k-row) slab boundaries so growth is exercised. *)
   let n = 70_000 in
   let hs = Array.init n (fun _ -> Arena.alloc a) in
   Array.iteri (fun i h -> Arena.set_int a h 0 i) hs;
@@ -467,6 +479,8 @@ let suite =
       test_arena_stale_after_free;
     Alcotest.test_case "arena: stale after reuse" `Quick
       test_arena_stale_after_reuse;
+    Alcotest.test_case "arena: index is dense, rejects stale" `Quick
+      test_arena_index;
     Alcotest.test_case "arena: growth and ordered iteration" `Quick
       test_arena_growth_and_iter;
     QCheck_alcotest.to_alcotest pfa_equiv;

@@ -66,6 +66,78 @@ let perflow_equiv =
             else true)
         ops)
 
+(* The value column under volume: thousands of live rows cross several
+   arena slabs and column doublings, and remove/reinsert batches (half
+   of them through the reversed direction) reuse freed rows LIFO. After
+   every batch each probe, the fold and the unscoped walk must agree
+   with a [Flow.Map] model, values included. *)
+let wide_key i =
+  Flow.make
+    ~src:(Ipaddr.of_int (0x0A000000 lor (i lsr 4)))
+    ~dst:(Ipaddr.of_int 0xC0A80001)
+    ~sport:(1024 + (i land 15))
+    ~dport:80 ()
+
+let wide_universe = 4_800
+
+let column_batches_arb =
+  QCheck.(
+    list_of_size (Gen.int_range 1 10)
+      (quad (int_bound 3) (int_bound (wide_universe - 1)) (int_range 1 900)
+         (int_range 1 5)))
+
+let perflow_column =
+  QCheck.Test.make
+    ~name:"perflow: value column == Flow.Map model across slabs and reuse"
+    ~count:20 column_batches_arb (fun batches ->
+      let store = Store.Perflow.create () in
+      let model = ref Flow.Map.empty in
+      let fresh = ref 0 in
+      let set k =
+        incr fresh;
+        Store.Perflow.set store k !fresh;
+        model := Flow.Map.add (Flow.canonical k) !fresh !model
+      in
+      let remove k =
+        Store.Perflow.remove store k;
+        model := Flow.Map.remove (Flow.canonical k) !model
+      in
+      let agrees () =
+        let want = Flow.Map.bindings !model in
+        Store.Perflow.size store = Flow.Map.cardinal !model
+        && List.rev (Store.Perflow.fold store ~init:[] ~f:(fun k v acc -> (k, v) :: acc))
+           = want
+        && Store.Perflow.matching store Filter.any = want
+        && List.for_all
+             (fun i ->
+               let k = wide_key i in
+               let v = Flow.Map.find_opt k !model in
+               Store.Perflow.find store k = v
+               && Store.Perflow.find store (Flow.reverse k) = v
+               && Store.Perflow.mem store k = Option.is_some v)
+             (List.init wide_universe Fun.id)
+      in
+      for i = 0 to 3_199 do
+        set (wide_key i)
+      done;
+      agrees ()
+      && List.for_all
+           (fun (kind, start, len, step) ->
+             let i = ref start in
+             while !i < min wide_universe (start + len) do
+               let k = wide_key !i in
+               (match kind with
+               | 0 -> remove k
+               | 1 -> set (Flow.reverse k)
+               | 2 -> set k
+               | _ ->
+                 remove k;
+                 set (Flow.reverse k));
+               i := !i + step
+             done;
+             agrees ())
+           batches)
+
 let per_host_equiv =
   QCheck.Test.make ~name:"per-host: ordered matching == sorted reference (random)"
     ~count:60 ops_arb (fun ops ->
@@ -220,7 +292,7 @@ let test_get_perflow_alloc_budget () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ perflow_equiv; per_host_equiv; keyed_equiv; omap_oracle ]
+    [ perflow_equiv; perflow_column; per_host_equiv; keyed_equiv; omap_oracle ]
   @ [
       Alcotest.test_case "alloc budget: exact store matching" `Quick
         test_matching_alloc_budget;
