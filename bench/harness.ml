@@ -260,3 +260,30 @@ type experiment = { id : string; descr : string; run : unit -> unit }
 let experiments : experiment list ref = ref []
 let register ~id ~descr run = experiments := { id; descr; run } :: !experiments
 let all () = List.rev !experiments
+
+(* --- host fingerprint ---------------------------------------------------- *)
+
+(* JSON object naming the host a wall-clock BENCH file was measured on:
+   CPU model (from /proc/cpuinfo where readable), usable domains, OCaml
+   version and word size. *)
+let host_fingerprint () =
+  let cpu =
+    try
+      let ic = open_in "/proc/cpuinfo" in
+      let rec scan () =
+        match input_line ic with
+        | line when String.starts_with ~prefix:"model name" line ->
+          String.trim
+            (String.sub line
+               (String.index line ':' + 1)
+               (String.length line - String.index line ':' - 1))
+        | _ -> scan ()
+        | exception End_of_file -> "unknown"
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+    with Sys_error _ -> "unknown"
+  in
+  Printf.sprintf
+    "{\"cpu\": %S, \"domains\": %d, \"ocaml\": %S, \"word_size\": %d}" cpu
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version Sys.word_size

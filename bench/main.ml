@@ -16,6 +16,7 @@ let experiments_linked =
     Bench_sec84.run; Bench_ablation.run; Bench_failover.run; Bench_micro.run;
     Bench_datapath.run; Bench_faults.run; Bench_sched.run; Bench_scale.run;
     Bench_backend.run; Bench_par.run_parcheck; Bench_moncheck.run;
+    Bench_movesweep.run;
   ]
 
 let () =

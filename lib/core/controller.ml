@@ -57,6 +57,7 @@ let call_budget r =
 type pending =
   | Get of {
       mutable chunks : (Filter.t * Chunk.t) list;  (* Reverse order. *)
+      seen : unit Filter.Table.t;  (* Flowids of [chunks]. *)
       on_piece : (Filter.t -> Chunk.t -> unit) option;
       result : ((Filter.t * Chunk.t) list, Op_error.t) result Proc.Ivar.t;
     }
@@ -116,8 +117,8 @@ and t = {
   nfs : (string, nf) Hashtbl.t;
   pending : (int, pending) Hashtbl.t;
   barriers : (int, unit Proc.Ivar.t) Hashtbl.t;
-  event_subs : (int, event_sub) Hashtbl.t;
-  pkt_in_subs : (int, pkt_in_sub) Hashtbl.t;
+  event_subs : (int, event_sub) Opennf_util.Omap.t;
+  pkt_in_subs : (int, pkt_in_sub) Opennf_util.Omap.t;
   route_cookies : int Filter.Table.t;
   final_cookies : int Filter.Table.t;
   mutable on_death : (string -> unit) list;
@@ -225,12 +226,11 @@ let bridged par ~src h make =
   result
 
 
-(* Subscriptions live in hashtables so unsubscribe is O(1); dispatch
-   still visits them in subscription (id) order for determinism. *)
-let iter_subs tbl f =
-  Hashtbl.fold (fun id sub acc -> (id, sub) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (_, sub) -> f sub)
+(* Subscriptions live in id-ordered maps: dispatch visits them in
+   subscription order for determinism with no per-event sort, and
+   unsubscribe is O(log n). A walk sees the map as it was when the walk
+   began, whatever its callbacks subscribe or unsubscribe. *)
+let iter_subs subs f = Opennf_util.Omap.iter_asc (fun _ sub -> f sub) subs
 
 let rec dispatch_reply t (reply : Protocol.reply) =
   match reply with
@@ -239,8 +239,8 @@ let rec dispatch_reply t (reply : Protocol.reply) =
     | Some (Get g) ->
       (* A retried or duplicated streaming get may replay a piece;
          idempotent request ids mean replays are ignored. *)
-      if not (List.exists (fun (f, _) -> Filter.equal f flowid) g.chunks)
-      then begin
+      if not (Filter.Table.mem g.seen flowid) then begin
+        Filter.Table.replace g.seen flowid ();
         g.chunks <- (flowid, chunk) :: g.chunks;
         Option.iter (fun f -> f flowid chunk) g.on_piece
       end
@@ -335,8 +335,8 @@ let create engine audit ~switch ?(config = default_config) ?faults ?resilience
       nfs = Hashtbl.create 16;
       pending = Hashtbl.create 64;
       barriers = Hashtbl.create 16;
-      event_subs = Hashtbl.create 16;
-      pkt_in_subs = Hashtbl.create 16;
+      event_subs = Opennf_util.Omap.create ~cmp:Int.compare;
+      pkt_in_subs = Opennf_util.Omap.create ~cmp:Int.compare;
       route_cookies = Filter.Table.create 64;
       final_cookies = Filter.Table.create 64;
       on_death = [];
@@ -600,7 +600,8 @@ let get_async_home nf ~scope ?on_piece ?(late_lock = false) ?(compress = false)
     in
     let result = Proc.Ivar.create t.engine in
     start_call t nf ~req ~request
-      ~pending_entry:(Get { chunks = []; on_piece; result })
+      ~pending_entry:
+        (Get { chunks = []; seen = Filter.Table.create 16; on_piece; result })
       ~result;
     result
   end
@@ -744,7 +745,7 @@ let subscribe_events t ~nf filter callback =
   match remote_ctx h with
   | None ->
     let id = fresh_sub h in
-    Hashtbl.replace h.event_subs id
+    Opennf_util.Omap.set h.event_subs id
       { es_nf = nf; es_filter = filter; es_callback = callback };
     [ (h, id) ]
   | Some (par, src) ->
@@ -752,7 +753,7 @@ let subscribe_events t ~nf filter callback =
     let id =
       Opennf_sim.Par.call par ~dst:h.shard (fun fill ->
           let id = fresh_sub h in
-          Hashtbl.replace h.event_subs id
+          Opennf_util.Omap.set h.event_subs id
             { es_nf = nf; es_filter = filter; es_callback = cb };
           fill id)
     in
@@ -768,7 +769,7 @@ let subscribe_packet_in t filter callback =
          match remote_ctx p with
          | None ->
            let id = fresh_sub p in
-           Hashtbl.replace p.pkt_in_subs id
+           Opennf_util.Omap.set p.pkt_in_subs id
              { ps_filter = filter; ps_callback = callback };
            (p, id)
          | Some (par, src) ->
@@ -778,7 +779,7 @@ let subscribe_packet_in t filter callback =
            let id =
              Opennf_sim.Par.call par ~dst:p.shard (fun fill ->
                  let id = fresh_sub p in
-                 Hashtbl.replace p.pkt_in_subs id
+                 Opennf_util.Omap.set p.pkt_in_subs id
                    { ps_filter = filter; ps_callback = cb };
                  fill id)
            in
@@ -789,8 +790,8 @@ let unsubscribe _t subs =
   List.iter
     (fun (p, id) ->
       on_home p (fun () ->
-          Hashtbl.remove p.event_subs id;
-          Hashtbl.remove p.pkt_in_subs id))
+          Opennf_util.Omap.remove p.event_subs id;
+          Opennf_util.Omap.remove p.pkt_in_subs id))
     subs
 
 (* --- forwarding state ----------------------------------------------------- *)

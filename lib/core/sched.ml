@@ -8,11 +8,11 @@ module Footprint = struct
     reads : string list;
     writes : string list;
     routes : bool;
-    mutable released : Flow.key list;
+    released : unit Flow.Table.t;  (** Canonical keys. *)
   }
 
   let make ?(filters = []) ?(reads = []) ?(writes = []) ?(routes = false) () =
-    { filters; reads; writes; routes; released = [] }
+    { filters; reads; writes; routes; released = Flow.Table.create 16 }
 
   let names_intersect a b = List.exists (fun x -> List.mem x b) a
 
@@ -32,7 +32,7 @@ module Footprint = struct
       (fun cf ->
         let exempt =
           match Filter.exact_key cf with
-          | Some k -> List.exists (Flow.equal (Flow.canonical k)) held.released
+          | Some k -> Flow.Table.mem held.released (Flow.canonical k)
           | None -> false
         in
         (not exempt)
@@ -45,7 +45,7 @@ module Footprint = struct
   let conflicts ~held ~cand =
     resources_clash held cand && filters_clash ~held ~cand
 
-  let release held key = held.released <- Flow.canonical key :: held.released
+  let release held key = Flow.Table.replace held.released (Flow.canonical key) ()
 end
 
 type entry = {

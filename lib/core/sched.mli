@@ -34,9 +34,9 @@ module Footprint : sig
     reads : string list;  (** NF instances only read. *)
     writes : string list;  (** NF instances whose state is written. *)
     routes : bool;  (** Installs/removes forwarding rules. *)
-    mutable released : Flow.key list;
-        (** Flows already handed off (early release); exact-flow
-            candidates for these keys no longer conflict. *)
+    released : unit Flow.Table.t;
+        (** Canonical keys of flows already handed off (early release);
+            exact-flow candidates for these keys no longer conflict. *)
   }
 
   val make :

@@ -188,7 +188,7 @@ let submit g ~footprint ~nfs body =
 let run g ~footprint ~nfs body = Proc.Ivar.read (submit g ~footprint ~nfs body)
 
 (* Early release must reach every scheduler holding the footprint: the
-   released-key list lives in the footprint itself (shared across the
+   released-key table lives in the footprint itself (shared across the
    holds), so it is shrunk once — on the calling (owning) shard — and
    every involved scheduler re-pumps its queue. A footprint must never
    be written from two engines. *)

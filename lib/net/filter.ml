@@ -195,6 +195,14 @@ let exact_key t =
 
 let exact_src_host t = exact_prefix t.src
 
+let conn_hash t =
+  match
+    (exact_prefix t.src, exact_prefix t.dst, t.proto, t.src_port, t.dst_port)
+  with
+  | Some src, Some dst, Some proto, Some sport, Some dport ->
+    Some (Flow.conn_hash_parts ~src ~dst ~proto ~sport ~dport)
+  | _ -> None
+
 let to_string t =
   let parts = ref [] in
   let add name v = parts := Printf.sprintf "%s=%s" name v :: !parts in

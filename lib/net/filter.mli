@@ -93,6 +93,11 @@ val exact_key : t -> Flow.key option
 val exact_src_host : t -> Ipaddr.t option
 (** The source address when pinned to a /32 (host-scoped flowids). *)
 
+val conn_hash : t -> int option
+(** When the filter pins a full 5-tuple, {!Flow.conn_hash} of it, built
+    without allocating the key; [tcp_flag] and [app] are ignored. Keys
+    the runtime's exact-flow filter and tombstone tables. *)
+
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

@@ -65,6 +65,23 @@ let hash k =
   in
   Int64.to_int h land max_int
 
+(* Endpoints packed as (ip << 16 | port) and ordered, so both directions
+   mix the same words; multiplicative mixing keeps the low bits (which
+   pick a hashtable bucket) well spread. *)
+let conn_hash_parts ~src ~dst ~proto ~sport ~dport =
+  let a = (Ipaddr.to_int src lsl 16) lor sport
+  and b = (Ipaddr.to_int dst lsl 16) lor dport in
+  let lo = if a <= b then a else b and hi = if a <= b then b else a in
+  let m = 0x2545F4914F6CDD1D in
+  let h = (lo * m) lxor hi in
+  let h = (h * m) lxor (match proto with Tcp -> 0 | Udp -> 1 | Icmp -> 2) in
+  let h = h lxor (h lsr 29) in
+  (h * m) lxor (h lsr 32) land max_int
+
+let conn_hash k =
+  conn_hash_parts ~src:k.src_ip ~dst:k.dst_ip ~proto:k.proto ~sport:k.src_port
+    ~dport:k.dst_port
+
 let to_string k =
   Printf.sprintf "%s:%d>%s:%d/%s"
     (Ipaddr.to_string k.src_ip)

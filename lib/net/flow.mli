@@ -33,6 +33,15 @@ val is_forward : key -> bool
 val compare : key -> key -> int
 val equal : key -> key -> bool
 val hash : key -> int
+
+val conn_hash : key -> int
+(** Direction-free hash: [conn_hash k = conn_hash (reverse k)]. Needs no
+    canonical key, so it allocates nothing. *)
+
+val conn_hash_parts :
+  src:Ipaddr.t -> dst:Ipaddr.t -> proto:proto -> sport:int -> dport:int -> int
+(** [conn_hash] of the key these fields would make. *)
+
 val pp : Format.formatter -> key -> unit
 val to_string : key -> string
 

@@ -3,15 +3,6 @@ module Proc = Opennf_sim.Proc
 open Opennf_net
 open Opennf_state
 
-type event_filter = {
-  filter : Filter.t;
-  action : Protocol.event_action;
-  parent : Filter.t option;
-      (** Set for per-flow filters installed by late locking; removed
-          when the parent filter is disabled. *)
-  buffer : Packet.t Queue.t;
-}
-
 type t = {
   engine : Engine.t;
   audit : Audit.t;
@@ -29,8 +20,8 @@ type t = {
   (* Southbound state operations, FIFO. *)
   work : Protocol.request Proc.Mailbox.t;
   mutable to_ctrl : Protocol.reply Channel.t option;
-  mutable event_filters : event_filter list;  (** Newest first. *)
-  mutable tombstones : Filter.t list;
+  filters : Event_filters.t;
+  tombstones : Event_filters.Tombstones.t;
   mutable busy_ops : int;
   mutable in_service : unit Proc.Ivar.t option;
       (** Filled when the packet currently on the CPU finishes; state
@@ -120,23 +111,6 @@ let raise_event t (p : Packet.t) disposition =
   Audit.log_evented t.audit p ~nf:t.name;
   send_reply t (Protocol.Event { nf = t.name; packet = p; disposition })
 
-let event_filter_matches ef (p : Packet.t) =
-  Filter.matches_flow ef.filter p.key
-  &&
-  match ef.filter.Filter.tcp_flag with
-  | None -> true
-  | Some f -> Packet.has_flag p f
-
-let find_event_filter t p =
-  List.find_opt (fun ef -> event_filter_matches ef p) t.event_filters
-
-let matches_tombstone t (p : Packet.t) =
-  List.exists (fun f -> Filter.matches_flow f p.key) t.tombstones
-
-let clear_tombstones_for t flowid =
-  t.tombstones <-
-    List.filter (fun f -> not (Filter.accepts_flowid f flowid)) t.tombstones
-
 (* Process one packet on the NF CPU. *)
 let process t (p : Packet.t) =
   let done_ivar = Proc.Ivar.create t.engine in
@@ -164,22 +138,22 @@ let wait_for_service t =
   | None -> ()
 
 let dispose t (p : Packet.t) =
-  match find_event_filter t p with
+  match Event_filters.find t.filters p with
   | Some ef -> (
-    match ef.action with
+    match ef.Event_filters.action with
     | Protocol.Drop when not p.do_not_drop ->
       t.dropped <- t.dropped + 1;
       Audit.log_drop t.audit p ~nf:t.name;
       raise_event t p Protocol.Drop
     | Protocol.Buffer when not p.do_not_buffer ->
-      Queue.push p ef.buffer;
+      Queue.push p ef.Event_filters.buffer;
       Audit.log_buffered t.audit p ~nf:t.name;
       raise_event t p Protocol.Buffer
     | Protocol.Process | Protocol.Drop | Protocol.Buffer ->
       process t p;
       raise_event t p Protocol.Process)
   | None ->
-    if matches_tombstone t p then begin
+    if Event_filters.Tombstones.matches t.tombstones p.key then begin
       t.dropped <- t.dropped + 1;
       t.tombstone_drops <- t.tombstone_drops + 1;
       Audit.log_drop t.audit p ~nf:t.name
@@ -234,10 +208,6 @@ let serialize_pause t chunk =
 let deserialize_pause t chunk =
   Proc.sleep (Costs.deserialize_time t.costs ~bytes:(Chunk.size chunk))
 
-let add_event_filter t ?parent filter action =
-  t.event_filters <-
-    { filter; action; parent; buffer = Queue.create () } :: t.event_filters
-
 (* With [compress], the NF->controller connection behaves like a
    compressed socket stream (§8.3): each chunk's wire footprint is what
    it adds to the stream given the previous chunk as dictionary, and the
@@ -250,7 +220,8 @@ let run_get t ~req ~filter ~stream ~late_lock ~compress ~list ~export =
   let dict = ref "" in
   List.iter
     (fun flowid ->
-      if late_lock then add_event_filter t ~parent:filter flowid Protocol.Drop;
+      if late_lock then
+        Event_filters.add t.filters ~parent:filter flowid Protocol.Drop;
       match export flowid with
       | None -> ()
       | Some chunk ->
@@ -320,7 +291,7 @@ let handle_op t (req : Protocol.request) =
       (Protocol.Done { req; chunks = List.map (fun c -> (Filter.any, c)) chunks })
   | Protocol.Put_perflow { req; chunks } ->
     run_put t ~req ~chunks ~import:(fun flowid chunk ->
-        clear_tombstones_for t flowid;
+        Event_filters.Tombstones.clear_for t.tombstones flowid;
         t.impl.Nf_api.import_perflow flowid chunk)
   | Protocol.Put_multiflow { req; chunks } ->
     run_put t ~req ~chunks ~import:t.impl.Nf_api.import_multiflow
@@ -338,7 +309,7 @@ let handle_op t (req : Protocol.request) =
     List.iter
       (fun flowid ->
         t.impl.Nf_api.delete_perflow flowid;
-        t.tombstones <- flowid :: t.tombstones)
+        Event_filters.Tombstones.add t.tombstones flowid)
       flowids;
     send_reply t (Protocol.Ack { req })
   | Protocol.Del_multiflow { req; flowids } ->
@@ -351,21 +322,11 @@ let handle_op t (req : Protocol.request) =
     assert false (* handled inline in [control] *)
 
 let disable_events t filter =
-  let keep, drop =
-    List.partition
-      (fun ef ->
-        not
-          (Filter.equal ef.filter filter
-          || match ef.parent with
-             | Some p -> Filter.equal p filter
-             | None -> false))
-      t.event_filters
-  in
-  t.event_filters <- keep;
-  (* Release buffered packets in arrival order. *)
+  (* Release buffered packets in arrival order: oldest filter first. *)
   List.iter
-    (fun ef -> Queue.iter (fun p -> Queue.push p t.release_q) ef.buffer)
-    (List.rev drop);
+    (fun ef ->
+      Queue.iter (fun p -> Queue.push p t.release_q) ef.Event_filters.buffer)
+    (Event_filters.disable t.filters filter);
   wake_worker t
 
 let control t (req : Protocol.request) =
@@ -375,7 +336,7 @@ let control t (req : Protocol.request) =
   if alive t then
     match req with
     | Protocol.Enable_events { filter; action } ->
-      add_event_filter t filter action
+      Event_filters.add t.filters filter action
     | Protocol.Disable_events { filter } -> disable_events t filter
     | Protocol.Set_batching { bytes } -> t.batch_budget <- bytes
     | _ -> Proc.Mailbox.send t.work req
@@ -399,8 +360,8 @@ let create engine audit ~name ~impl ~costs ?faults ?backend () =
       worker_wakeup = None;
       work = Proc.Mailbox.create engine;
       to_ctrl = None;
-      event_filters = [];
-      tombstones = [];
+      filters = Event_filters.create ();
+      tombstones = Event_filters.Tombstones.create ();
       busy_ops = 0;
       in_service = None;
       processed = 0;
@@ -452,8 +413,7 @@ let processed_count t = t.processed
 let dropped_count t = t.dropped
 let tombstone_dropped t = t.tombstone_drops
 
-let buffered_count t =
-  List.fold_left (fun acc ef -> acc + Queue.length ef.buffer) 0 t.event_filters
+let buffered_count t = Event_filters.buffered t.filters
 
 let queue_length t = Queue.length t.input_q + Queue.length t.release_q
 let busy t = t.busy_ops > 0

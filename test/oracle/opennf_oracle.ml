@@ -1,5 +1,6 @@
 (* Reference implementations in the seed's unindexed shape: a linear
-   scan for the flow table and fold-and-sort for the state stores. *)
+   scan for the flow table and the runtime's event filters and
+   tombstones, fold-and-sort for the state stores. *)
 
 open Opennf_net
 open Opennf_state
@@ -33,3 +34,63 @@ let keyed_matching ~relevant store filter =
   Store.Keyed.fold store ~init:[] ~f:(fun k v acc ->
       if relevant filter k v then (k, v) :: acc else acc)
   |> List.sort compare
+
+(* The NF runtime's event filters and tombstones as newest-first lists,
+   scanned per packet: a packet gets the first (newest) filter that
+   matches, and disabling a filter releases the buffers of the removed
+   filters oldest first. Same interface as [Opennf_sb.Event_filters]. *)
+module Event_filters = struct
+  module E = Opennf_sb.Event_filters
+
+  type t = { mutable filters : E.entry list; mutable next_seq : int }
+
+  let create () = { filters = []; next_seq = 0 }
+
+  let add t ?parent filter action =
+    t.filters <-
+      { E.filter; action; parent; seq = t.next_seq; buffer = Queue.create () }
+      :: t.filters;
+    t.next_seq <- t.next_seq + 1
+
+  let find t (p : Packet.t) =
+    List.find_opt
+      (fun (ef : E.entry) ->
+        Filter.matches_flow ef.filter p.key
+        &&
+        match ef.filter.tcp_flag with
+        | None -> true
+        | Some f -> Packet.has_flag p f)
+      t.filters
+
+  let disable t filter =
+    let keep, drop =
+      List.partition
+        (fun (ef : E.entry) ->
+          not
+            (Filter.equal ef.filter filter
+            || match ef.parent with
+               | Some p -> Filter.equal p filter
+               | None -> false))
+        t.filters
+    in
+    t.filters <- keep;
+    List.rev drop
+
+  let buffered t =
+    List.fold_left (fun acc (ef : E.entry) -> acc + Queue.length ef.buffer) 0
+      t.filters
+
+  module Tombstones = struct
+    type t = { mutable flowids : Filter.t list }
+
+    let create () = { flowids = [] }
+    let add t flowid = t.flowids <- flowid :: t.flowids
+
+    let matches t k =
+      List.exists (fun f -> Filter.matches_flow f k) t.flowids
+
+    let clear_for t flowid =
+      t.flowids <-
+        List.filter (fun f -> not (Filter.accepts_flowid f flowid)) t.flowids
+  end
+end

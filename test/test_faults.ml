@@ -324,6 +324,70 @@ let prop_order_preserving_under_link_faults =
       && Audit.order_violations tb.H.fab.audit = []
       && Audit.arrival_order_violations tb.H.fab.audit = [])
 
+(* --- streamed-get piece dedupe ------------------------------------------ *)
+
+(* A streamed per-flow get from prads1 while its reply channel
+   duplicates messages with probability [dup]. Returns the chunks in
+   order, the fresh pieces [on_piece] saw, the [ctrl.dup_pieces]
+   counter, the duplicates the fault plan injected, and the inbound
+   messages the controller handled after the get returned. *)
+let streamed_get ~dup =
+  let obs = Opennf_obs.Hub.create ~metrics:true () in
+  let tb = H.prads_pair ~flows:40 ~obs () in
+  if dup > 0.0 then
+    Faults.set_link tb.H.fab.faults ~name:"prads1->ctrl" ~dup ();
+  let chunks = ref [] and fresh = ref 0 and at_return = ref 0 in
+  H.run_with tb ~at:1.0 (fun () ->
+      (match
+         Controller.get tb.H.fab.ctrl tb.H.nf1 ~scope:Opennf_state.Scope.Per
+           ~on_piece:(fun _ _ -> incr fresh)
+           Filter.any
+       with
+      | Ok cs ->
+        chunks :=
+          List.map
+            (fun (f, (c : Opennf_state.Chunk.t)) ->
+              Filter.to_string f ^ "=" ^ c.data)
+            cs
+      | Error e ->
+        Alcotest.failf "streamed get failed: %s" (Op_error.to_string e));
+      at_return := Controller.messages_handled tb.H.fab.ctrl);
+  ( !chunks,
+    !fresh,
+    Opennf_obs.Metrics.counter_value (Opennf_obs.Hub.metrics obs) "ctrl.dup_pieces",
+    Faults.duplicated_count tb.H.fab.faults,
+    Controller.messages_handled tb.H.fab.ctrl - !at_return )
+
+(* Every replayed piece is dropped and counted, and the chunk list is
+   the fault-free one in arrival order. The only duplicate that is not a
+   piece is the [Done]'s twin, which arrives after the get returned. *)
+let test_duplicated_pieces_are_deduped () =
+  let clean, clean_fresh, clean_dups, _, clean_after = streamed_get ~dup:0.0 in
+  Alcotest.(check int) "fault-free: no replays" 0 clean_dups;
+  Alcotest.(check int) "fault-free: one piece per chunk" (List.length clean)
+    clean_fresh;
+  Alcotest.(check bool) "fault-free: state to stream" true (List.length clean > 10);
+  List.iter
+    (fun dup ->
+      let name = Printf.sprintf "dup=%.1f: " dup in
+      let chunks, fresh, dups, injected, after = streamed_get ~dup in
+      let done_twin = after - clean_after in
+      Alcotest.(check (list string)) (name ^ "chunks as fault-free, in order")
+        clean chunks;
+      Alcotest.(check int) (name ^ "one fresh piece per chunk") (List.length clean)
+        fresh;
+      Alcotest.(check bool) (name ^ "Done duplicated at most once") true
+        (done_twin = 0 || done_twin = 1);
+      Alcotest.(check int) (name ^ "ctrl.dup_pieces = injected piece duplicates")
+        (injected - done_twin) dups;
+      Alcotest.(check bool) (name ^ "some pieces replayed") true (dups > 0))
+    [ 0.3; 1.0 ];
+  let _, _, dups, injected, _ = streamed_get ~dup:1.0 in
+  Alcotest.(check int) "dup=1.0: every piece replayed once"
+    (List.length clean) dups;
+  Alcotest.(check int) "dup=1.0: every message duplicated"
+    (List.length clean + 1) injected
+
 let suite =
   [
     Alcotest.test_case "ivar read_timeout" `Quick test_read_timeout;
@@ -352,6 +416,8 @@ let suite =
       test_fault_free_resilient_move_is_clean;
     Alcotest.test_case "ok_exn raises Op_failed on a dead NF" `Quick
       test_ok_exn_raises_on_crashed_nf;
+    Alcotest.test_case "streamed get dedupes duplicated pieces" `Quick
+      test_duplicated_pieces_are_deduped;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

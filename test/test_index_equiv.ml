@@ -3,7 +3,9 @@
    (exact hash + priority buckets + decision cache) must always agree
    with [Opennf_oracle.lookup], and
    [Store.Perflow.matching] (exact fast path + per-host index) with
-   [Opennf_oracle.perflow_matching]. *)
+   [Opennf_oracle.perflow_matching], and the runtime's
+   [Event_filters] (exact-flow tables + wildcard lists) with
+   [Opennf_oracle.Event_filters]. *)
 
 module Rng = Opennf_util.Rng
 open Opennf_net
@@ -126,8 +128,128 @@ let test_perflow_churn () =
         (Store.Perflow.matching store f)
   done
 
+module Ef = Opennf_sb.Event_filters
+module Ef_ref = Opennf_oracle.Event_filters
+module Protocol = Opennf_sb.Protocol
+
+let actions = [| Protocol.Drop; Protocol.Buffer; Protocol.Process |]
+
+(* Either direction of one of a few flows, so filters stack on a flow
+   and packets hit them often; tables must be direction-free. *)
+let flow_pool =
+  let rng = Rng.create ~seed:7 in
+  Array.init 24 (fun _ -> key rng)
+
+let some_key rng =
+  let k = Rng.pick rng flow_pool in
+  if Rng.bool rng then Flow.reverse k else k
+
+let event_filter rng =
+  match Rng.int rng 6 with
+  | 0 | 1 -> Filter.of_key (some_key rng)
+  | 2 -> { (Filter.of_key (some_key rng)) with tcp_flag = Some Packet.Syn }
+  | 3 -> { (random_filter rng) with tcp_flag = Some Packet.Syn }
+  | _ -> random_filter rng
+
+let flowid rng =
+  match Rng.int rng 6 with
+  | 0 | 1 | 2 -> Filter.of_key (some_key rng)
+  | 3 -> Filter.of_src_host (host rng)
+  | 4 -> { (Filter.of_key (some_key rng)) with app = Some "u" }
+  | _ -> Filter.of_app (if Rng.bool rng then "u" else "v")
+
+let seq_of = Option.map (fun (e : Ef.entry) -> e.seq)
+
+let released entries =
+  List.map
+    (fun (e : Ef.entry) ->
+      let ids = Seq.map (fun (p : Packet.t) -> p.id) (Queue.to_seq e.buffer) in
+      (e.seq, List.of_seq ids))
+    entries
+
+(* One seeded sequence of installs (plain and late-lock children under a
+   parent), packets, disables, tombstones and the puts that clear them,
+   applied to both; every packet must get the same filter (or the same
+   tombstone verdict), every disable must release the same buffers in
+   the same order, and the buffered counts must agree throughout. *)
+let test_event_filters_churn () =
+  let rng = Rng.create ~seed:2024 in
+  let ef = Ef.create () and rf = Ef_ref.create () in
+  let tb = Ef.Tombstones.create () and rt = Ef_ref.Tombstones.create () in
+  let installed = ref [ Filter.any ] in
+  let released_t = Alcotest.(list (pair int (list int))) in
+  (* Exact-table hits, wildcard hits, tombstone drops, releases of
+     non-empty buffers: the run must exercise each. *)
+  let hits = Array.make 4 0 in
+  for id = 1 to 6000 do
+    match Rng.int rng 12 with
+    | 0 | 1 ->
+      let f = event_filter rng and a = Rng.pick rng actions in
+      installed := f :: !installed;
+      Ef.add ef f a;
+      Ef_ref.add rf f a
+    | 2 ->
+      (* Late locking: per-flow Drop children of one parent. *)
+      let parent = List.nth !installed (Rng.int rng (List.length !installed)) in
+      for _ = 1 to 1 + Rng.int rng 8 do
+        let child = Filter.of_key (some_key rng) in
+        Ef.add ef ~parent child Protocol.Drop;
+        Ef_ref.add rf ~parent child Protocol.Drop
+      done
+    | 3 ->
+      let f =
+        if Rng.int rng 4 = 0 then event_filter rng
+        else List.nth !installed (Rng.int rng (List.length !installed))
+      in
+      let out = released (Ef.disable ef f) in
+      if List.exists (fun (_, ids) -> ids <> []) out then hits.(3) <- hits.(3) + 1;
+      Alcotest.check released_t
+        ("disable releases alike: " ^ Filter.to_string f)
+        (released (Ef_ref.disable rf f))
+        out
+    | 4 ->
+      let f = flowid rng in
+      Ef.Tombstones.add tb f;
+      Ef_ref.Tombstones.add rt f
+    | 5 ->
+      let f = flowid rng in
+      Ef.Tombstones.clear_for tb f;
+      Ef_ref.Tombstones.clear_for rt f
+    | _ ->
+      let p =
+        if Rng.int rng 4 = 0 then packet rng ~id
+        else
+          let flags = if Rng.int rng 4 = 0 then [ Packet.Syn ] else [] in
+          Packet.create ~id ~key:(some_key rng) ~flags ~sent_at:0.0 ()
+      in
+      let hit = Ef.find ef p and ref_hit = Ef_ref.find rf p in
+      Alcotest.(check (option int)) "same filter" (seq_of ref_hit) (seq_of hit);
+      (match (hit, ref_hit) with
+      | Some e, Some r ->
+        let kind = if Option.is_some (Filter.conn_hash e.filter) then 0 else 1 in
+        hits.(kind) <- hits.(kind) + 1;
+        if e.action = Protocol.Buffer then begin
+          Queue.push p e.buffer;
+          Queue.push p r.buffer
+        end
+      | _ -> ());
+      let dead = Ef.Tombstones.matches tb p.key in
+      if dead then hits.(2) <- hits.(2) + 1;
+      Alcotest.(check bool) "same tombstone verdict"
+        (Ef_ref.Tombstones.matches rt p.key)
+        dead;
+      Alcotest.(check int) "same buffered count" (Ef_ref.buffered rf)
+        (Ef.buffered ef)
+  done;
+  Array.iteri
+    (fun i n ->
+      Alcotest.(check bool) (Printf.sprintf "coverage %d (%d)" i n) true (n > 50))
+    hits
+
 let suite =
   [
+    Alcotest.test_case "event filters + tombstones: randomized equivalence"
+      `Quick test_event_filters_churn;
     Alcotest.test_case "flowtable: randomized churn equivalence" `Quick
       test_flowtable_churn;
     Alcotest.test_case "flowtable: cache invalidation on install/remove" `Quick
