@@ -117,17 +117,23 @@ let create ?(seed = 1) ?obs ?shard_obs ?config ?flow_mod_delay ?packet_out_rate
       None
     end
   in
-  (* One live checker per audit stream. The monitor taps the audit's
-     tracer (the shared hub trace when tracing, the private ledger
-     otherwise) and never schedules or records, so virtual-time results
-     are unchanged. *)
+  (* One live checker per audit ledger. The monitor takes typed records
+     from the ledger's tap and op spans from the engine hub's trace (no
+     context when the hub is not tracing); both arrive synchronously in
+     emission order. It never schedules or records, so virtual-time
+     results are unchanged. *)
   let monitors =
     if not monitor then [||]
     else
       Array.mapi
         (fun k audit ->
-          let m = Opennf_obs.Monitor.create ~shard:k () in
-          Opennf_obs.Monitor.attach m (Audit.trace audit);
+          let m =
+            Opennf_obs.Monitor.create ~shard:k
+              ~flow_name:(Audit.flow_name audit) ()
+          in
+          Audit.on_entry audit (Opennf_obs.Monitor.record m);
+          Opennf_obs.Monitor.attach m
+            (Opennf_obs.Hub.trace (Engine.obs engines.(k)));
           m)
         (match par with Some _ -> audits | None -> [| audits.(0) |])
   in
@@ -214,15 +220,13 @@ let merged_audit t =
 
 let monitored t = Array.length t.monitors > 0
 
-(* The audit streams, shard-tagged, deduplicated: a serial fabric's
-   [audits] array aliases the one ledger in every slot. *)
-let audit_traces t =
-  match t.par with
-  | None -> [ (0, Audit.trace t.audit) ]
-  | Some _ -> List.mapi (fun k a -> (k, Audit.trace a)) (Array.to_list t.audits)
-
+(* The shard-tagged ledgers, deduplicated: a serial fabric's [audits]
+   array aliases the one ledger in every slot. *)
 let verdict ?history t =
-  Opennf_obs.Monitor.merged_verdict ?history (audit_traces t)
+  Audit.verdict ?history
+    (match t.par with
+    | None -> [ (0, t.audit) ]
+    | Some _ -> List.mapi (fun k a -> (k, a)) (Array.to_list t.audits))
 
 let live_findings t =
   Array.to_list t.monitors

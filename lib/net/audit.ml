@@ -1,57 +1,139 @@
 module Engine = Opennf_sim.Engine
 module Trace = Opennf_obs.Trace
+module Monitor = Opennf_obs.Monitor
 
 type record = { pkt : int; key : Flow.key; nf : string; time : float }
 
-(* The ledger is a view over the span tracer: every audit record is a
-   trace instant under cat ["audit"], so when the simulation runs with
-   tracing enabled the packet ledger and the op/sched/southbound spans
-   land interleaved in one deterministic buffer (and one Chrome export).
-   When the hub is not tracing, the audit keeps a private always-on
-   tracer so its queries — the ground truth for the safety tests — keep
-   working unchanged. Index hashtables (first-times, arrival dedup) are
-   maintained at log time exactly as before. *)
+(* Copy [a] into an array of at least [2 * length a] slots, padded with
+   [fill] (a float [fill] makes a flat float array). *)
+let grow a fill =
+  let n = Array.length a in
+  let b = Array.make (Stdlib.max 64 (2 * n)) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* Dense interning: values get ids 0, 1, ... in first-seen order. A hit
+   is one hash lookup and allocates nothing. *)
+module Intern (H : Hashtbl.S) = struct
+  type t = { ids : int H.t; mutable vals : H.key array; mutable n : int }
+
+  let create () = { ids = H.create 64; vals = [||]; n = 0 }
+
+  let id t v =
+    match H.find t.ids v with
+    | i -> i
+    | exception Not_found ->
+      let i = t.n in
+      if i = Array.length t.vals then t.vals <- grow t.vals v;
+      t.vals.(i) <- v;
+      H.add t.ids v i;
+      t.n <- i + 1;
+      i
+
+  let find t v = H.find_opt t.ids v
+  let value t i = t.vals.(i)
+  let count t = t.n
+end
+
+module Keys = Intern (Hashtbl.Make (struct
+  type t = Flow.key
+
+  let equal = Flow.equal
+  let hash = Flow.conn_hash
+end))
+
+module Names = Intern (Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end))
+
+(* One row per record, in emission order. [mirror] is the hub trace when
+   it is tracing, else the disabled tracer. *)
 type t = {
   engine : Engine.t;
-  trace : Trace.t;
+  mirror : Trace.t;
+  mutable len : int;
+  mutable pkts : int array;
+  mutable tags : int array;  (* kind code lor (nf id lsl 3) *)
+  mutable flows : int array;
+  mutable times : float array;
+  keys : Keys.t;
+  nfs : Names.t;
   arrived : (int, unit) Hashtbl.t;
-  first_forward : (int, float) Hashtbl.t;
-  first_arrival : (int, float) Hashtbl.t;
-  first_process : (int, float) Hashtbl.t;
+  mutable taps : (Monitor.entry -> unit) list;
+  (* First-time index: [(pkt lsl 3) lor kind code] -> row of the
+     packet's first record of that kind, over rows [0, first_upto). *)
+  first : (int, int) Hashtbl.t;
+  mutable first_upto : int;
 }
+
+let make engine mirror =
+  {
+    engine;
+    mirror;
+    len = 0;
+    pkts = Array.make 64 0;
+    tags = Array.make 64 0;
+    flows = Array.make 64 0;
+    times = Array.make 64 0.0;
+    keys = Keys.create ();
+    nfs = Names.create ();
+    arrived = Hashtbl.create 1024;
+    taps = [];
+    first = Hashtbl.create 16;
+    first_upto = 0;
+  }
 
 let create engine =
   let obs = Engine.obs engine in
-  let trace =
-    if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
-    else begin
-      let tr = Trace.create () in
-      Trace.set_clock tr (fun () -> Engine.now engine);
-      tr
-    end
-  in
+  make engine
+    (if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
+     else Trace.disabled)
+
+let kind_of t i = Monitor.kind_of_code (t.tags.(i) land 7)
+let nf_of t i = Names.value t.nfs (t.tags.(i) lsr 3)
+let key_of t i = Keys.value t.keys t.flows.(i)
+
+(* Row [i] as a typed entry, its flow id mapped through [flow]. *)
+let entry t ~flow i =
   {
-    engine;
-    trace;
-    arrived = Hashtbl.create 1024;
-    first_forward = Hashtbl.create 1024;
-    first_arrival = Hashtbl.create 1024;
-    first_process = Hashtbl.create 1024;
+    Monitor.kind = kind_of t i;
+    pkt = t.pkts.(i);
+    nf = nf_of t i;
+    flow = flow t.flows.(i);
+    vt = t.times.(i);
   }
 
-let trace t = t.trace
+let on_entry t f = t.taps <- t.taps @ [ f ]
+
+let on_record t f =
+  on_entry t (fun (e : Monitor.entry) ->
+      f (Monitor.kind_name e.kind)
+        { pkt = e.pkt; key = Keys.value t.keys e.flow; nf = e.nf; time = e.vt })
+
+let render_key (k : Flow.key) =
+  Printf.sprintf "%s:%d->%s:%d/%s"
+    (Ipaddr.to_string k.Flow.src_ip)
+    k.Flow.src_port
+    (Ipaddr.to_string k.Flow.dst_ip)
+    k.Flow.dst_port
+    (Flow.proto_to_string k.Flow.proto)
+
+let flow_name t id = render_key (Keys.value t.keys id)
 
 (* Standard IP protocol numbers, so traces read like packet captures. *)
 let proto_code = function Flow.Tcp -> 6 | Flow.Udp -> 17 | Flow.Icmp -> 1
-let proto_of_code = function 17 -> Flow.Udp | 1 -> Flow.Icmp | _ -> Flow.Tcp
 
-(* Attribute layout is positional: decode indexes straight in. *)
-let log t name (p : Packet.t) nf =
-  let k = p.Packet.key in
-  Trace.instant t.trace ~cat:"audit" ~name
+(* The record as a positional 7-attribute instant, the layout the
+   Chrome export and the trace-decoding oracle read. Only built when the
+   hub is tracing. *)
+let mirror t kind pkt nf (k : Flow.key) =
+  Trace.instant t.mirror ~cat:"audit" ~name:(Monitor.kind_name kind)
     ~attrs:
       [|
-        ("pkt", Trace.Int p.Packet.id);
+        ("pkt", Trace.Int pkt);
         ("nf", Trace.Str nf);
         ("src", Trace.Int (Ipaddr.to_int k.Flow.src_ip));
         ("dst", Trace.Int (Ipaddr.to_int k.Flow.dst_ip));
@@ -61,177 +143,189 @@ let log t name (p : Packet.t) nf =
       |]
     ()
 
-let decode (ev : Trace.ev) =
-  let a = ev.Trace.attrs in
-  let int i = match snd a.(i) with Trace.Int v -> v | _ -> 0 in
-  let str i = match snd a.(i) with Trace.Str s -> s | _ -> "" in
-  {
-    pkt = int 0;
-    nf = str 1;
-    key =
-      Flow.make
-        ~src:(Ipaddr.of_int (int 2))
-        ~dst:(Ipaddr.of_int (int 3))
-        ~proto:(proto_of_code (int 4))
-        ~sport:(int 5) ~dport:(int 6) ();
-    time = ev.Trace.vt;
-  }
+let append t ~pkt ~kind ~nf ~key ~time =
+  let i = t.len in
+  if i = Array.length t.pkts then begin
+    t.pkts <- grow t.pkts 0;
+    t.tags <- grow t.tags 0;
+    t.flows <- grow t.flows 0;
+    t.times <- grow t.times 0.0
+  end;
+  t.pkts.(i) <- pkt;
+  t.tags.(i) <- Monitor.kind_code kind lor (Names.id t.nfs nf lsl 3);
+  t.flows.(i) <- Keys.id t.keys key;
+  t.times.(i) <- time;
+  t.len <- i + 1
 
-(* Live subscription: ride the tracer's sink instead of folding the
-   buffer after the fact. The tap fires synchronously per audit instant,
-   in emission order, decoding on the fly; non-audit events sharing the
-   hub trace are filtered out. Decoding allocates, so this is strictly
-   an opt-in path — an audit without subscribers records exactly as
-   before. *)
-let on_record t f =
-  Trace.on_event t.trace (fun ev ->
-      if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then
-        f ev.Trace.name (decode ev))
+let log t kind (p : Packet.t) nf =
+  append t ~pkt:p.Packet.id ~kind ~nf ~key:p.Packet.key
+    ~time:(Engine.now t.engine);
+  if Trace.enabled t.mirror then mirror t kind p.Packet.id nf p.Packet.key;
+  match t.taps with
+  | [] -> ()
+  | taps ->
+    let e = entry t ~flow:Fun.id (t.len - 1) in
+    List.iter (fun f -> f e) taps
 
-(* Chronological records of one audit event kind: the trace buffer is
-   already in emission order, so a single forward scan suffices. *)
-let records t wanted =
-  List.rev
-    (Trace.fold t.trace
-       (fun acc ev ->
-         if
-           ev.Trace.kind = Trace.Instant
-           && ev.Trace.cat = "audit"
-           && ev.Trace.name = wanted
-         then decode ev :: acc
-         else acc)
-       [])
-
-let remember tbl id time =
-  if not (Hashtbl.mem tbl id) then Hashtbl.add tbl id time
-
-(* Read-only union of several shard audits (parallel shard execution
-   keeps one audit per shard engine). Records merge in (virtual time,
-   shard index, buffer position) order — a pure function of the
-   per-shard buffers, so the merged ledger is as deterministic as its
-   parts. Per-key relative order matches a serial run's: one flow's
-   packets all live on one shard, so their relative order is that
-   shard's buffer order. The result is a snapshot for queries; nothing
-   should log to it. *)
+(* Rows of all sources in (virtual time, source index, position) order —
+   a pure function of the per-shard ledgers, so the merge is as
+   deterministic as its parts. Per-key relative order matches a serial
+   run's: one flow's packets all live on one shard, so their relative
+   order is that shard's row order. *)
 let merged engine sources =
-  let cursor = ref 0.0 in
-  let tr = Trace.create () in
-  Trace.set_clock tr (fun () -> !cursor);
-  let t =
-    {
-      engine;
-      trace = tr;
-      arrived = Hashtbl.create 1024;
-      first_forward = Hashtbl.create 1024;
-      first_arrival = Hashtbl.create 1024;
-      first_process = Hashtbl.create 1024;
-    }
+  let t = make engine Trace.disabled in
+  let srcs = Array.of_list sources in
+  let rows =
+    Array.concat
+      (List.mapi (fun s a -> Array.init a.len (fun i -> (s, i))) sources)
   in
-  let evs = ref [] in
-  List.iteri
-    (fun src a ->
-      let pos = ref 0 in
-      Trace.iter a.trace (fun ev ->
-          if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then begin
-            evs := (ev.Trace.vt, src, !pos, ev) :: !evs;
-            incr pos
-          end))
-    sources;
-  let evs = List.sort compare (List.rev !evs) in
-  List.iter
-    (fun ((vt : float), _, _, (ev : Trace.ev)) ->
-      cursor := vt;
-      Trace.instant tr ~cat:"audit" ~name:ev.Trace.name ~attrs:ev.Trace.attrs ();
-      let r = decode ev in
-      match ev.Trace.name with
-      | "arrival" -> Hashtbl.replace t.arrived r.pkt ()
-      | "forward" -> remember t.first_forward r.pkt vt
-      | "nf_arrival" -> remember t.first_arrival r.pkt vt
-      | "process" -> remember t.first_process r.pkt vt
-      | _ -> ())
-    evs;
+  Array.sort
+    (fun (s1, i1) (s2, i2) ->
+      let c = Float.compare srcs.(s1).times.(i1) srcs.(s2).times.(i2) in
+      if c <> 0 then c
+      else
+        let c = Int.compare s1 s2 in
+        if c <> 0 then c else Int.compare i1 i2)
+    rows;
+  Array.iter
+    (fun (s, i) ->
+      let a = srcs.(s) in
+      append t ~pkt:a.pkts.(i) ~kind:(kind_of a i) ~nf:(nf_of a i)
+        ~key:(key_of a i) ~time:a.times.(i))
+    rows;
   t
-
-let now t = Engine.now t.engine
 
 let log_switch_arrival t p =
   if not (Hashtbl.mem t.arrived p.Packet.id) then begin
     Hashtbl.add t.arrived p.Packet.id ();
-    log t "arrival" p "sw"
+    log t Monitor.Arrival p "sw"
   end
 
-let log_forward t p ~dst =
-  log t "forward" p dst;
-  remember t.first_forward p.Packet.id (now t)
+let log_forward t p ~dst = log t Monitor.Forward p dst
+let log_nf_arrival t p ~nf = log t Monitor.Nf_arrival p nf
+let log_process t p ~nf = log t Monitor.Process p nf
+let log_drop t p ~nf = log t Monitor.Drop p nf
+let log_evented t p ~nf = log t Monitor.Event p nf
+let log_buffered t p ~nf = log t Monitor.Buffer p nf
 
-let log_nf_arrival t p ~nf =
-  log t "nf_arrival" p nf;
-  remember t.first_arrival p.Packet.id (now t)
+(* --- verdict ----------------------------------------------------------------- *)
 
-let log_process t p ~nf =
-  log t "process" p nf;
-  remember t.first_process p.Packet.id (now t)
+(* The ledger as a replay stream. Mirrored: the hub trace in order, each
+   audit instant standing for the ledger's next row (the two are
+   appended together, so they correspond one to one). Otherwise: the
+   rows alone. [flow] maps ledger flow ids into the replay's id space. *)
+let items t ~flow : Monitor.item Seq.t =
+  let row i = Monitor.Record (entry t ~flow i) in
+  if not (Trace.enabled t.mirror) then Seq.map row (Seq.init t.len Fun.id)
+  else
+    let tr = t.mirror in
+    let rec walk pos r () =
+      if pos = Trace.length tr then begin
+        if r <> t.len then
+          invalid_arg "Audit.verdict: hub trace and ledger out of step";
+        Seq.Nil
+      end
+      else
+        let ev = Trace.nth tr pos in
+        if ev.Trace.kind = Trace.Instant && ev.Trace.cat = "audit" then
+          Seq.Cons (row r, walk (pos + 1) (r + 1))
+        else Seq.Cons (Monitor.Span ev, walk (pos + 1) r)
+    in
+    walk 0 0
 
-let log_drop t p ~nf = log t "drop" p nf
-let log_evented t p ~nf = log t "event" p nf
-let log_buffered t p ~nf = log t "buffer" p nf
+(* Flows are re-interned into one id space: one flow's records may sit
+   on several shards' ledgers. *)
+let verdict ?history sources =
+  let all = Keys.create () in
+  let remap t =
+    let ids = Array.make (Keys.count t.keys) (-1) in
+    fun id ->
+      if ids.(id) < 0 then ids.(id) <- Keys.id all (Keys.value t.keys id);
+      ids.(id)
+  in
+  Monitor.merged_verdict ?history
+    ~flow_name:(fun id -> render_key (Keys.value all id))
+    (List.map (fun (shard, t) -> (shard, items t ~flow:(remap t))) sources)
 
-let in_filter filter (r : record) =
-  match filter with None -> true | Some f -> Filter.matches_flow f r.key
+(* --- queries ----------------------------------------------------------------- *)
 
-let by_nf nf (r : record) = match nf with None -> true | Some n -> r.nf = n
+let iter_kind t kind f =
+  let code = Monitor.kind_code kind in
+  for i = 0 to t.len - 1 do
+    if t.tags.(i) land 7 = code then f i
+  done
+
+(* Row predicates, evaluated once per interned flow or NF. *)
+let flow_pred filter t =
+  match filter with
+  | None -> fun _ -> true
+  | Some f ->
+    let ok =
+      Array.init (Keys.count t.keys) (fun id ->
+          Filter.matches_flow f (Keys.value t.keys id))
+    in
+    fun i -> ok.(t.flows.(i))
+
+let nf_pred nf t =
+  match nf with
+  | None -> fun _ -> true
+  | Some n -> (
+    match Names.find t.nfs n with
+    | None -> fun _ -> false
+    | Some id -> fun i -> t.tags.(i) lsr 3 = id)
+
+let ids_of_kind t kind pred =
+  let acc = ref [] in
+  iter_kind t kind (fun i -> if pred i then acc := t.pkts.(i) :: !acc);
+  List.rev !acc
 
 let forwarded_order ?filter t =
+  let in_filter = flow_pred filter t in
   let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun r ->
-      if in_filter filter r && not (Hashtbl.mem seen r.pkt) then begin
-        Hashtbl.add seen r.pkt ();
-        Some r.pkt
-      end
-      else None)
-    (records t "forward")
+  ids_of_kind t Monitor.Forward (fun i ->
+      in_filter i
+      && (not (Hashtbl.mem seen t.pkts.(i)))
+      && (Hashtbl.add seen t.pkts.(i) ();
+          true))
 
 let processed_order ?filter ?nf t =
-  List.filter_map
-    (fun r -> if in_filter filter r && by_nf nf r then Some r.pkt else None)
-    (records t "process")
+  let in_filter = flow_pred filter t and by_nf = nf_pred nf t in
+  ids_of_kind t Monitor.Process (fun i -> in_filter i && by_nf i)
 
-let drop_count ?nf t = List.length (List.filter (by_nf nf) (records t "drop"))
+let drop_count ?nf t = List.length (ids_of_kind t Monitor.Drop (nf_pred nf t))
 
 let processed_count ?nf t =
-  List.length (List.filter (by_nf nf) (records t "process"))
+  List.length (ids_of_kind t Monitor.Process (nf_pred nf t))
 
 let lost ?filter t ~nfs =
-  let processes = records t "process" in
+  let in_nfs =
+    let ok =
+      Array.init (Names.count t.nfs) (fun id ->
+          List.mem (Names.value t.nfs id) nfs)
+    in
+    fun i -> ok.(t.tags.(i) lsr 3)
+  in
   let processed = Hashtbl.create 1024 in
-  List.iter
-    (fun (r : record) ->
-      if List.mem r.nf nfs then Hashtbl.replace processed r.pkt ())
-    processes;
+  iter_kind t Monitor.Process (fun i ->
+      if in_nfs i then Hashtbl.replace processed t.pkts.(i) ());
+  let in_filter = flow_pred filter t in
   let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun (r : record) ->
-      if
-        in_filter filter r
-        && List.mem r.nf nfs
-        && (not (Hashtbl.mem seen r.pkt))
-        && not (Hashtbl.mem processed r.pkt)
-      then begin
-        Hashtbl.add seen r.pkt ();
-        Some r.pkt
-      end
-      else None)
-    (records t "forward")
+  ids_of_kind t Monitor.Forward (fun i ->
+      let id = t.pkts.(i) in
+      in_filter i && in_nfs i
+      && (not (Hashtbl.mem seen id))
+      && (not (Hashtbl.mem processed id))
+      && (Hashtbl.add seen id ();
+          true))
 
 let duplicated ?filter t =
+  let in_filter = flow_pred filter t in
   let counts = Hashtbl.create 1024 in
-  List.iter
-    (fun (r : record) ->
-      if in_filter filter r then
-        Hashtbl.replace counts r.pkt
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts r.pkt)))
-    (records t "process");
+  iter_kind t Monitor.Process (fun i ->
+      if in_filter i then
+        let id = t.pkts.(i) in
+        Hashtbl.replace counts id
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)));
   Hashtbl.fold (fun id n acc -> if n > 1 then id :: acc else acc) counts []
 
 let violations_against t reference_order ?filter () =
@@ -255,30 +349,28 @@ let violations_against t reference_order ?filter () =
 let order_violations ?filter t =
   violations_against t (forwarded_order ?filter t) ?filter ()
 
-let arrival_order t filter =
-  List.filter_map
-    (fun r -> if in_filter filter r then Some r.pkt else None)
-    (records t "arrival")
-
 let arrival_order_violations ?filter t =
-  violations_against t (arrival_order t filter) ?filter ()
+  violations_against t
+    (ids_of_kind t Monitor.Arrival (flow_pred filter t))
+    ?filter ()
+
+let first_time t kind pkt =
+  for i = t.first_upto to t.len - 1 do
+    let k = (t.pkts.(i) lsl 3) lor (t.tags.(i) land 7) in
+    if not (Hashtbl.mem t.first k) then Hashtbl.add t.first k i
+  done;
+  t.first_upto <- t.len;
+  Hashtbl.find_opt t.first ((pkt lsl 3) lor Monitor.kind_code kind)
+  |> Option.map (fun i -> t.times.(i))
 
 let added_latency t ~pkt =
   match
-    (Hashtbl.find_opt t.first_arrival pkt, Hashtbl.find_opt t.first_process pkt)
+    (first_time t Monitor.Nf_arrival pkt, first_time t Monitor.Process pkt)
   with
   | Some arrival, Some proc -> Some (proc -. arrival)
   | _ -> None
 
-let evented_ids ?nf t =
-  List.filter_map
-    (fun r -> if by_nf nf r then Some r.pkt else None)
-    (records t "event")
-
-let buffered_ids ?nf t =
-  List.filter_map
-    (fun r -> if by_nf nf r then Some r.pkt else None)
-    (records t "buffer")
-
-let first_forward_time t ~pkt = Hashtbl.find_opt t.first_forward pkt
-let process_time t ~pkt = Hashtbl.find_opt t.first_process pkt
+let evented_ids ?nf t = ids_of_kind t Monitor.Event (nf_pred nf t)
+let buffered_ids ?nf t = ids_of_kind t Monitor.Buffer (nf_pred nf t)
+let first_forward_time t ~pkt = first_time t Monitor.Forward pkt
+let process_time t ~pkt = first_time t Monitor.Process pkt

@@ -9,37 +9,55 @@
     - {b order preservation}: the cross-instance processing order equals
       the switch's (first-time) forwarding order.
 
-    Records are stored as trace instants (cat ["audit"]) through the
-    same {!Opennf_obs.Trace} sink the op/scheduler spans use: when the
-    engine's hub is tracing, audit events share its buffer (and appear
-    in the Chrome export); otherwise the ledger keeps a private
-    always-on tracer and this API behaves exactly as before. *)
+    Records are rows of flat, growable columns: packet id, kind with the
+    interned NF name, the interned flow (the packet's exact directed
+    5-tuple) and virtual time. Recording allocates nothing beyond column
+    growth, a flow's or NF's first sighting and the arrival-dedupe
+    table. When the engine's hub is tracing, each record is also
+    mirrored into the hub trace as an instant (cat ["audit"]; attrs pkt,
+    nf, src, dst, proto, sport, dport), so packet events and op spans
+    share one deterministic buffer and one Chrome export. Queries always
+    read the columns. *)
 
 type t
 
 val create : Opennf_sim.Engine.t -> t
-(** Shares the engine hub's tracer when it is tracing. *)
+(** Mirrors records into the engine hub's trace when it is tracing. *)
 
 val merged : Opennf_sim.Engine.t -> t list -> t
 (** Read-only union of several shard audits (the parallel fabric keeps
     one audit per shard engine). Records merge in (virtual time, shard
-    index, buffer position) order — deterministic, and per-key order
-    identical to a serial run's, since one flow's packets all live on
-    one shard. A query snapshot: do not log to it. *)
-
-val trace : t -> Opennf_obs.Trace.t
-(** The tracer this ledger records through — the shared hub trace when
-    the engine's hub is tracing, the audit's private always-on tracer
-    otherwise. Streaming checkers ({!Opennf_obs.Monitor}) attach here. *)
+    index, position) order — deterministic, and per-key order identical
+    to a serial run's, since one flow's packets all live on one shard.
+    A query snapshot: do not log to it. *)
 
 type record = { pkt : int; key : Flow.key; nf : string; time : float }
 
+val on_entry : t -> (Opennf_obs.Monitor.entry -> unit) -> unit
+(** Subscribe to the live ledger with typed records: [f entry] runs
+    synchronously on every record as it is logged, in emission order,
+    with the flow as this ledger's interned id ({!flow_name} renders
+    it). The tap a {!Opennf_obs.Monitor} rides. The callback must
+    observe only — it must not log back into the ledger or touch the
+    simulation. A ledger without taps builds no entries. *)
+
 val on_record : t -> (string -> record -> unit) -> unit
-(** Subscribe to the live ledger: [f name record] runs synchronously on
-    every audit event as it is logged (names: ["arrival"], ["forward"],
-    ["nf_arrival"], ["process"], ["drop"], ["event"], ["buffer"]), in
-    emission order. The callback must observe only — it must not log
-    back into the ledger or touch the simulation. *)
+(** {!on_entry} with the record decoded: [f name record] runs on every
+    record (names: ["arrival"], ["forward"], ["nf_arrival"],
+    ["process"], ["drop"], ["event"], ["buffer"]), in emission order. *)
+
+val flow_name : t -> int -> string
+(** The canonical rendering of an interned flow id, e.g.
+    ["10.0.0.1:20000->172.31.0.1:443/tcp"]. *)
+
+val verdict :
+  ?history:int -> (int * t) list -> Opennf_obs.Monitor.finding list
+(** End-of-run guarantee check over shard-tagged ledgers: each ledger
+    replays through {!Opennf_obs.Monitor.merged_verdict}. A ledger that
+    mirrors into a tracing hub replays interleaved with that trace's op
+    spans (its [k]-th audit instant is its [k]-th row), so findings
+    carry op/phase context; otherwise it replays its rows alone.
+    Deterministic, and invariant under permutation of the list. *)
 
 (** {1 Recording} *)
 
@@ -96,3 +114,7 @@ val evented_ids : ?nf:string -> t -> int list
 val buffered_ids : ?nf:string -> t -> int list
 val first_forward_time : t -> pkt:int -> float option
 val process_time : t -> pkt:int -> float option
+(** The first-time queries ({!added_latency}, {!first_forward_time},
+    {!process_time}) read an index built in one pass over the rows and
+    extended as the ledger grows, so a query per packet stays linear
+    overall. *)

@@ -1,10 +1,11 @@
-(* Streaming checker for the §5.1 guarantees, fed by the trace sink.
+(* Streaming checker for the §5.1 guarantees.
 
-   The monitor decodes audit instants by their positional attribute
-   layout (pkt, nf, src, dst, proto, sport, dport — see Audit.log) so it
-   can live below lib/net in the dependency order and still check any
-   audit stream. Op spans (cat "op") interleaved in the same stream give
-   findings their op/phase context. *)
+   Audit records arrive typed from the ledger's tap (or its replay),
+   with the flow as a dense integer id, so the monitor can live below
+   lib/net in the dependency order and still check any audit stream.
+   Op spans (cat "op") from the trace stream give findings their
+   op/phase context. Flow strings and history lines are rendered only
+   when a finding is emitted. *)
 
 type property = Loss | Order | Duplicate | Buffer_conservation
 
@@ -33,165 +34,198 @@ type finding = {
   history : string list;
 }
 
+type kind = Arrival | Forward | Nf_arrival | Process | Drop | Event | Buffer
+
+let kind_name = function
+  | Arrival -> "arrival"
+  | Forward -> "forward"
+  | Nf_arrival -> "nf_arrival"
+  | Process -> "process"
+  | Drop -> "drop"
+  | Event -> "event"
+  | Buffer -> "buffer"
+
+let kind_code = function
+  | Arrival -> 0
+  | Forward -> 1
+  | Nf_arrival -> 2
+  | Process -> 3
+  | Drop -> 4
+  | Event -> 5
+  | Buffer -> 6
+
+let kinds = [| Arrival; Forward; Nf_arrival; Process; Drop; Event; Buffer |]
+let kind_of_code c = kinds.(c)
+
+type entry = { kind : kind; pkt : int; nf : string; flow : int; vt : float }
+type item = Span of Trace.ev | Record of entry
+
+(* The op context a record occurred under: the enclosing root op span
+   and its last phase mark. Interned in [ctxs] so a retired packet keeps
+   its context as an int; index 0 is "no op". *)
+type ctx = { c_op : int; c_name : string; c_phase : string }
+
+let no_ctx = { c_op = 0; c_name = ""; c_phase = "" }
+
 (* Per-flow automaton: two counters (forward sequence numbering and the
    highest forwarded-sequence processed so far) plus a bounded ring of
-   rendered audit lines — O(1) state however long the flow lives. *)
+   the last records, packed: time, packet id with the kind code in the
+   low 3 bits, and the NF name (interned by the ledger, so storing it
+   allocates nothing). O(1) state however long the flow lives. *)
 type flow_state = {
-  f_key : string;
+  f_id : int;
+  mutable f_name : string;  (* Rendered on first need; "" until then. *)
   mutable next_fwd : int;
   mutable max_done : int;
-  ring : string array;
+  ring_vt : float array;
+  ring_ev : int array;
+  ring_nf : string array;
   mutable ring_len : int;
   mutable ring_pos : int;
 }
 
-(* Per-packet lifecycle, cleared down to a processed-marker once the
-   packet completes (the marker is what duplicate-freedom needs). *)
+(* Lifecycle of a packet not yet processed. Processing retires it to
+   the [processed] set as one int (first-sighting flow id and context
+   index): that is all duplicate-freedom needs. *)
 type pkt_state = {
-  p_flow : flow_state;
+  p_flow : flow_state;  (* Flow of the packet's first record. *)
   mutable p_seq : int;  (* First-forward sequence within the flow; -1. *)
   mutable p_forwarded : bool;
   mutable p_buffered : bool;
-  mutable p_processed : bool;
-  mutable p_nf : string;  (* Instance of the last event. *)
+  mutable p_nf : string;  (* Instance of the last record. *)
   mutable p_vt : float;
   mutable p_shard : int;
-  mutable p_op : int;
-  mutable p_op_name : string;
-  mutable p_phase : string;
+  mutable p_ctx : int;
 }
 
-type op_info = { o_name : string; o_shard : int }
+type op_info = {
+  o_key : int * int;
+  o_id : int;
+  o_name : string;
+  o_shard : int;
+  mutable o_phase : string;  (* Last phase mark; "" before the first. *)
+  mutable o_ctx : int;  (* Interned (id, name, phase); -1 until needed. *)
+}
 
 type t = {
   k : int;
-  shard : int;
+  flow_name : int -> string;
   mutable cur_shard : int;  (* Stream tag; only merged replay varies it. *)
-  flows : (string, flow_state) Hashtbl.t;
-  pkts : (int, pkt_state) Hashtbl.t;
+  mutable flows : flow_state option array;  (* By flow id. *)
+  pkts : (int, pkt_state) Hashtbl.t;  (* In flight. *)
+  processed : (int, int) Hashtbl.t;  (* pkt -> (flow id lsl 31) lor ctx. *)
+  mutable ctxs : ctx array;
+  mutable n_ctxs : int;
   (* Op-context tracking, keyed by (shard, span id): span ids are
      per-tracer counters, so merged replays of several shard buffers
      would collide on the bare id. *)
   roots : (int * int, op_info) Hashtbl.t;
-  children : (int * int, int * int) Hashtbl.t;  (* child -> its root *)
-  mutable open_roots : (int * int) list;  (* Newest first. *)
-  phases : (int * int, string) Hashtbl.t;  (* root -> last phase mark *)
+  children : (int * int, op_info) Hashtbl.t;  (* child -> its root *)
+  mutable open_roots : op_info list;  (* Newest first. *)
   mutable streamed : finding list;  (* Newest first. *)
   mutable events : int;
   mutable taps : (finding -> unit) list;
 }
 
-let create ?(shard = 0) ?(history = 8) () =
+let create ?(shard = 0) ?(history = 8) ~flow_name () =
   {
     k = Stdlib.max 1 history;
-    shard;
+    flow_name;
     cur_shard = shard;
-    flows = Hashtbl.create 256;
+    flows = [||];
     pkts = Hashtbl.create 1024;
+    processed = Hashtbl.create 1024;
+    ctxs = Array.make 16 no_ctx;
+    n_ctxs = 1;
     roots = Hashtbl.create 16;
     children = Hashtbl.create 16;
     open_roots = [];
-    phases = Hashtbl.create 16;
     streamed = [];
     events = 0;
     taps = [];
   }
 
 let events_seen t = t.events
+let in_flight t = Hashtbl.length t.pkts
 let on_finding t f = t.taps <- t.taps @ [ f ]
 let findings t = List.rev t.streamed
 let clean = function [] -> true | _ :: _ -> false
 
-(* --- attribute decoding --------------------------------------------------- *)
+(* --- per-flow state --------------------------------------------------------- *)
 
-let int_attr a i =
-  if i < Array.length a then
-    match snd a.(i) with Trace.Int v -> v | _ -> 0
-  else 0
-
-let str_attr a i =
-  if i < Array.length a then
-    match snd a.(i) with Trace.Str s -> s | _ -> ""
-  else ""
-
-let ip_str v =
-  Printf.sprintf "%d.%d.%d.%d"
-    ((v lsr 24) land 0xff)
-    ((v lsr 16) land 0xff)
-    ((v lsr 8) land 0xff)
-    (v land 0xff)
-
-let proto_str = function 17 -> "udp" | 1 -> "icmp" | _ -> "tcp"
-
-let flow_key attrs =
-  Printf.sprintf "%s:%d->%s:%d/%s"
-    (ip_str (int_attr attrs 2))
-    (int_attr attrs 5)
-    (ip_str (int_attr attrs 3))
-    (int_attr attrs 6)
-    (proto_str (int_attr attrs 4))
-
-(* --- per-flow / per-packet state ------------------------------------------ *)
-
-let flow_state t key =
-  match Hashtbl.find_opt t.flows key with
+let flow_state t id =
+  let n = Array.length t.flows in
+  if id >= n then begin
+    let bigger = Array.make (Stdlib.max (id + 1) (2 * n)) None in
+    Array.blit t.flows 0 bigger 0 n;
+    t.flows <- bigger
+  end;
+  match t.flows.(id) with
   | Some fs -> fs
   | None ->
     let fs =
       {
-        f_key = key;
+        f_id = id;
+        f_name = "";
         next_fwd = 0;
         max_done = -1;
-        ring = Array.make t.k "";
+        ring_vt = Array.make t.k 0.0;
+        ring_ev = Array.make t.k 0;
+        ring_nf = Array.make t.k "";
         ring_len = 0;
         ring_pos = 0;
       }
     in
-    Hashtbl.add t.flows key fs;
+    t.flows.(id) <- Some fs;
     fs
 
-let ring_push fs line =
-  fs.ring.(fs.ring_pos) <- line;
-  fs.ring_pos <- (fs.ring_pos + 1) mod Array.length fs.ring;
-  if fs.ring_len < Array.length fs.ring then fs.ring_len <- fs.ring_len + 1
+let flow_key t fs =
+  if fs.f_name = "" then fs.f_name <- t.flow_name fs.f_id;
+  fs.f_name
+
+let ring_push fs (e : entry) =
+  let i = fs.ring_pos in
+  fs.ring_vt.(i) <- e.vt;
+  fs.ring_ev.(i) <- (e.pkt lsl 3) lor kind_code e.kind;
+  fs.ring_nf.(i) <- e.nf;
+  fs.ring_pos <- (i + 1) mod Array.length fs.ring_ev;
+  if fs.ring_len < Array.length fs.ring_ev then fs.ring_len <- fs.ring_len + 1
 
 let ring_lines fs =
-  let n = Array.length fs.ring in
+  let n = Array.length fs.ring_ev in
   List.init fs.ring_len (fun i ->
-      fs.ring.((fs.ring_pos - fs.ring_len + i + (2 * n)) mod n))
-
-let pkt_state t fs pkt =
-  match Hashtbl.find_opt t.pkts pkt with
-  | Some ps -> ps
-  | None ->
-    let ps =
-      {
-        p_flow = fs;
-        p_seq = -1;
-        p_forwarded = false;
-        p_buffered = false;
-        p_processed = false;
-        p_nf = "";
-        p_vt = 0.0;
-        p_shard = t.cur_shard;
-        p_op = 0;
-        p_op_name = "";
-        p_phase = "";
-      }
-    in
-    Hashtbl.add t.pkts pkt ps;
-    ps
+      let j = (fs.ring_pos - fs.ring_len + i + (2 * n)) mod n in
+      let ev = fs.ring_ev.(j) in
+      Printf.sprintf "%.6f %s pkt=%d nf=%s" fs.ring_vt.(j)
+        (kind_name (kind_of_code (ev land 7)))
+        (ev asr 3) fs.ring_nf.(j))
 
 (* --- op context ------------------------------------------------------------ *)
 
 let root_of t key =
-  if Hashtbl.mem t.roots key then Some key else Hashtbl.find_opt t.children key
+  match Hashtbl.find_opt t.roots key with
+  | Some _ as root -> root
+  | None -> Hashtbl.find_opt t.children key
 
-(* The op an audit event "occurred under": the newest still-open root op
-   span on the event's own shard (ops from other shards — merged replay
+(* The op a record "occurred under": the newest still-open root op span
+   on the record's own shard (ops from other shards — merged replay
    only — are someone else's context). *)
 let current_op t =
-  List.find_opt (fun (sh, _) -> sh = t.cur_shard) t.open_roots
+  List.find_opt (fun o -> fst o.o_key = t.cur_shard) t.open_roots
+
+let ctx_index t o =
+  if o.o_ctx < 0 then begin
+    if t.n_ctxs = Array.length t.ctxs then begin
+      let bigger = Array.make (2 * t.n_ctxs) no_ctx in
+      Array.blit t.ctxs 0 bigger 0 t.n_ctxs;
+      t.ctxs <- bigger
+    end;
+    t.ctxs.(t.n_ctxs) <-
+      { c_op = o.o_id; c_name = o.o_name; c_phase = o.o_phase };
+    o.o_ctx <- t.n_ctxs;
+    t.n_ctxs <- t.n_ctxs + 1
+  end;
+  o.o_ctx
 
 let op_open t (ev : Trace.ev) =
   let key = (t.cur_shard, ev.Trace.id) in
@@ -211,102 +245,147 @@ let op_open t (ev : Trace.ev) =
         ev.Trace.attrs;
       !s
     in
-    Hashtbl.replace t.roots key { o_name = ev.Trace.name; o_shard };
-    t.open_roots <- key :: t.open_roots
+    let o =
+      {
+        o_key = key;
+        o_id = ev.Trace.id;
+        o_name = ev.Trace.name;
+        o_shard;
+        o_phase = "";
+        o_ctx = -1;
+      }
+    in
+    Hashtbl.replace t.roots key o;
+    t.open_roots <- o :: t.open_roots
 
 let span_close t (ev : Trace.ev) =
   let key = (t.cur_shard, ev.Trace.id) in
   if Hashtbl.mem t.roots key then begin
     Hashtbl.remove t.roots key;
-    Hashtbl.remove t.phases key;
-    t.open_roots <- List.filter (fun k -> k <> key) t.open_roots
+    t.open_roots <- List.filter (fun o -> o.o_key <> key) t.open_roots
   end
   else Hashtbl.remove t.children key
 
 let phase_mark t (ev : Trace.ev) =
   match root_of t (t.cur_shard, ev.Trace.parent) with
-  | Some root -> Hashtbl.replace t.phases root ev.Trace.name
+  | Some root ->
+    root.o_phase <- ev.Trace.name;
+    root.o_ctx <- -1
   | None -> ()
 
 (* --- findings --------------------------------------------------------------- *)
 
-let emit t ~property ~(ps : pkt_state) ~pkt ~detail =
-  let f =
-    {
-      property;
-      flow = ps.p_flow.f_key;
-      pkt;
-      shard = ps.p_shard;
-      vt = ps.p_vt;
-      op_span = ps.p_op;
-      op = ps.p_op_name;
-      phase = ps.p_phase;
-      detail;
-      history = ring_lines ps.p_flow;
-    }
-  in
+let finding t ~property ~fs ~pkt ~shard ~vt ~ctx ~detail =
+  let c = t.ctxs.(ctx) in
+  {
+    property;
+    flow = flow_key t fs;
+    pkt;
+    shard;
+    vt;
+    op_span = c.c_op;
+    op = c.c_name;
+    phase = c.c_phase;
+    detail;
+    history = ring_lines fs;
+  }
+
+let emit t f =
   t.streamed <- f :: t.streamed;
   List.iter (fun tap -> tap f) t.taps
 
-let audit_event t (ev : Trace.ev) =
-  let attrs = ev.Trace.attrs in
-  if Array.length attrs >= 7 then begin
-    t.events <- t.events + 1;
-    let pkt = int_attr attrs 0 in
-    let nf = str_attr attrs 1 in
-    let fs = flow_state t (flow_key attrs) in
-    ring_push fs
-      (Printf.sprintf "%.6f %s pkt=%d nf=%s" ev.Trace.vt ev.Trace.name pkt nf);
-    let ps = pkt_state t fs pkt in
-    ps.p_vt <- ev.Trace.vt;
-    ps.p_nf <- nf;
-    ps.p_shard <- t.cur_shard;
-    (match current_op t with
-    | Some ((_, id) as key) ->
-      (match Hashtbl.find_opt t.roots key with
-      | Some info ->
-        ps.p_op <- id;
-        ps.p_op_name <- info.o_name;
-        ps.p_shard <- info.o_shard;
-        ps.p_phase <-
-          (match Hashtbl.find_opt t.phases key with Some p -> p | None -> "")
-      | None -> ())
-    | None -> ());
-    match ev.Trace.name with
-    | "forward" ->
-      (* First forwarding assigns the flow-order sequence; relays of the
-         same id (packet-outs during a move) keep the original slot. *)
-      if not (ps.p_forwarded || ps.p_processed) then begin
-        ps.p_forwarded <- true;
-        ps.p_seq <- fs.next_fwd;
-        fs.next_fwd <- fs.next_fwd + 1
-      end
-    | "process" ->
-      if ps.p_processed then
-        emit t ~property:Duplicate ~ps ~pkt
-          ~detail:(Printf.sprintf "processed again at %s" nf)
-      else begin
-        ps.p_processed <- true;
-        ps.p_buffered <- false;
-        if ps.p_seq >= 0 then
-          if ps.p_seq < fs.max_done then
-            emit t ~property:Order ~ps ~pkt
-              ~detail:
-                (Printf.sprintf
-                   "forwarded %d packet(s) before the newest processed one \
-                    but processed after it"
-                   (fs.max_done - ps.p_seq))
-          else fs.max_done <- ps.p_seq
-      end
-    | "buffer" -> if not ps.p_processed then ps.p_buffered <- true
-    | _ -> ()
-  end
+let pack ~flow ~ctx = (flow lsl 31) lor ctx
+let packed_flow p = p lsr 31
+let packed_ctx p = p land 0x7fff_ffff
+
+(* A record for a packet still in flight. [fs] is the record's own flow,
+   which numbers forwards and orders processing. *)
+let in_flight_record t fs ps (e : entry) op shard =
+  ps.p_vt <- e.vt;
+  ps.p_nf <- e.nf;
+  ps.p_shard <- shard;
+  Option.iter (fun o -> ps.p_ctx <- ctx_index t o) op;
+  match e.kind with
+  | Forward ->
+    (* First forwarding assigns the flow-order sequence; relays of the
+       same id (packet-outs during a move) keep the original slot. *)
+    if not ps.p_forwarded then begin
+      ps.p_forwarded <- true;
+      ps.p_seq <- fs.next_fwd;
+      fs.next_fwd <- fs.next_fwd + 1
+    end
+  | Process ->
+    if ps.p_seq >= 0 then
+      if ps.p_seq < fs.max_done then
+        emit t
+          (finding t ~property:Order ~fs:ps.p_flow ~pkt:e.pkt ~shard
+             ~vt:e.vt ~ctx:ps.p_ctx
+             ~detail:
+               (Printf.sprintf
+                  "forwarded %d packet(s) before the newest processed one \
+                   but processed after it"
+                  (fs.max_done - ps.p_seq)))
+      else fs.max_done <- ps.p_seq;
+    Hashtbl.remove t.pkts e.pkt;
+    Hashtbl.replace t.processed e.pkt
+      (pack ~flow:ps.p_flow.f_id ~ctx:ps.p_ctx)
+  | Buffer -> ps.p_buffered <- true
+  | Arrival | Nf_arrival | Drop | Event -> ()
+
+(* A record for a retired packet: only a second processing matters. Its
+   context is the record's op if any, else the last one the packet was
+   seen under. *)
+let processed_record t packed (e : entry) op shard =
+  let ctx =
+    match op with
+    | None -> packed_ctx packed
+    | Some o ->
+      let ctx = ctx_index t o in
+      if ctx <> packed_ctx packed then
+        Hashtbl.replace t.processed e.pkt
+          (pack ~flow:(packed_flow packed) ~ctx);
+      ctx
+  in
+  match e.kind with
+  | Process ->
+    emit t
+      (finding t ~property:Duplicate
+         ~fs:(flow_state t (packed_flow packed))
+         ~pkt:e.pkt ~shard ~vt:e.vt ~ctx
+         ~detail:(Printf.sprintf "processed again at %s" e.nf))
+  | Arrival | Forward | Nf_arrival | Drop | Event | Buffer -> ()
+
+let record t (e : entry) =
+  t.events <- t.events + 1;
+  let fs = flow_state t e.flow in
+  ring_push fs e;
+  let op = current_op t in
+  let shard = match op with None -> t.cur_shard | Some o -> o.o_shard in
+  match Hashtbl.find t.pkts e.pkt with
+  | ps -> in_flight_record t fs ps e op shard
+  | exception Not_found -> (
+    match Hashtbl.find t.processed e.pkt with
+    | packed -> processed_record t packed e op shard
+    | exception Not_found ->
+      let ps =
+        {
+          p_flow = fs;
+          p_seq = -1;
+          p_forwarded = false;
+          p_buffered = false;
+          p_nf = e.nf;
+          p_vt = e.vt;
+          p_shard = shard;
+          p_ctx = 0;
+        }
+      in
+      Hashtbl.add t.pkts e.pkt ps;
+      in_flight_record t fs ps e op shard)
 
 let feed t (ev : Trace.ev) =
   match ev.Trace.kind with
   | Trace.Instant ->
-    if ev.Trace.cat = "audit" then audit_event t ev
-    else if ev.Trace.cat = "op" && ev.Trace.parent <> 0 then phase_mark t ev
+    if ev.Trace.cat = "op" && ev.Trace.parent <> 0 then phase_mark t ev
   | Trace.Begin -> if ev.Trace.cat = "op" then op_open t ev
   | Trace.End -> span_close t ev
 
@@ -314,74 +393,54 @@ let attach t tr = Trace.on_event tr (feed t)
 
 (* --- verdict ---------------------------------------------------------------- *)
 
-let finding_key f =
+let finding_key (f : finding) =
   (f.vt, f.shard, f.pkt, property_rank f.property, f.flow, f.detail)
 
 let verdict t =
   let pending = ref [] in
   Hashtbl.iter
     (fun pkt (ps : pkt_state) ->
-      if not ps.p_processed then begin
-        if ps.p_forwarded then
-          pending :=
-            {
-              property = Loss;
-              flow = ps.p_flow.f_key;
-              pkt;
-              shard = ps.p_shard;
-              vt = ps.p_vt;
-              op_span = ps.p_op;
-              op = ps.p_op_name;
-              phase = ps.p_phase;
-              detail =
-                Printf.sprintf "forwarded (flow seq %d) but never processed"
-                  ps.p_seq;
-              history = ring_lines ps.p_flow;
-            }
-            :: !pending;
-        if ps.p_buffered then
-          pending :=
-            {
-              property = Buffer_conservation;
-              flow = ps.p_flow.f_key;
-              pkt;
-              shard = ps.p_shard;
-              vt = ps.p_vt;
-              op_span = ps.p_op;
-              op = ps.p_op_name;
-              phase = ps.p_phase;
-              detail =
-                Printf.sprintf "buffered at %s but never released" ps.p_nf;
-              history = ring_lines ps.p_flow;
-            }
-            :: !pending
-      end)
+      let pend property detail =
+        pending :=
+          finding t ~property ~fs:ps.p_flow ~pkt ~shard:ps.p_shard ~vt:ps.p_vt
+            ~ctx:ps.p_ctx ~detail
+          :: !pending
+      in
+      if ps.p_forwarded then
+        pend Loss
+          (Printf.sprintf "forwarded (flow seq %d) but never processed"
+             ps.p_seq);
+      if ps.p_buffered then
+        pend Buffer_conservation
+          (Printf.sprintf "buffered at %s but never released" ps.p_nf))
     t.pkts;
   List.sort
     (fun a b -> compare (finding_key a) (finding_key b))
     (List.rev_append t.streamed !pending)
 
-let merged_verdict ?history sources =
-  let t = create ?history () in
-  let evs = ref [] in
-  List.iter
-    (fun (shard, tr) ->
-      let pos = ref 0 in
-      Trace.iter tr (fun ev ->
-          evs := (ev.Trace.vt, shard, !pos, ev) :: !evs;
-          incr pos))
-    sources;
-  let evs =
+let push t shard item =
+  t.cur_shard <- shard;
+  match item with Span ev -> feed t ev | Record e -> record t e
+
+let item_vt = function Span ev -> ev.Trace.vt | Record e -> e.vt
+
+let merged_verdict ?history ~flow_name sources =
+  let t = create ?history ~flow_name () in
+  (match sources with
+  | [ (shard, items) ] -> Seq.iter (push t shard) items
+  | _ ->
+    let evs = ref [] in
+    List.iter
+      (fun (shard, items) ->
+        Seq.iteri
+          (fun pos item -> evs := (item_vt item, shard, pos, item) :: !evs)
+          items)
+      sources;
     List.sort
       (fun ((a : float), (b : int), (c : int), _) (d, e, f, _) ->
         compare (a, b, c) (d, e, f))
       !evs
-  in
-  List.iter
-    (fun (_, shard, _, ev) ->
-      t.cur_shard <- shard;
-      feed t ev)
-    evs;
+    |> List.iter (fun (_, shard, _, item) -> push t shard item));
   verdict t
 
 (* --- rendering --------------------------------------------------------------- *)

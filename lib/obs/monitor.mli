@@ -1,8 +1,9 @@
 (** Streaming runtime verification of the paper's §5.1 guarantees.
 
-    A monitor subscribes to the live trace stream ({!Trace.on_event} —
-    the audit ledger's instants plus the op spans interleaved with them)
-    and maintains per-flow automata for:
+    A monitor consumes the audit ledger's typed records ({!entry}, one
+    per packet event, pushed by the ledger's tap) interleaved with the
+    op spans of a trace stream ({!Trace.on_event}), and maintains
+    per-flow automata for:
 
     - {b loss-freedom}: every packet the switch forwarded toward an NF
       is eventually processed by exactly one instance;
@@ -12,12 +13,15 @@
     - {b buffer conservation}: every packet an NF buffered during a
       move is eventually released and processed.
 
-    Each audit event costs O(1) table work; per-flow state is a pair of
-    counters plus a bounded ring of the last-k events, so memory is
-    O(flows + in-flight packets + processed ids). The monitor is a pure
-    observer: it never reads the engine clock, never schedules, and
-    never records through the tracer, so a monitored run's virtual-time
-    results are byte-identical to an unmonitored one.
+    Each record costs O(1) table work and renders no text. Per-flow
+    state is a pair of counters plus
+    a bounded ring of the last-k records, kept packed and rendered to
+    text only when a finding is emitted. A packet's lifecycle state is
+    retired to one entry of a processed-id set once it is processed, so
+    memory is O(flows + in-flight packets + processed ids). The monitor
+    is a pure observer: it never reads the engine clock, never
+    schedules, and never records through the tracer, so a monitored
+    run's virtual-time results are byte-identical to an unmonitored one.
 
     "Eventually" properties (loss, buffer conservation) cannot fire
     mid-stream; they are checked by {!verdict}, which scans the still-
@@ -25,10 +29,10 @@
     are detected online and also delivered to {!on_finding} taps.
 
     Shard-awareness: in [~par:true] fabrics one monitor rides each
-    shard's audit trace; {!merged_verdict} replays the shard-tagged
-    buffers in the same [(time, source, sequence)] order as
-    [Audit.merged], so the combined verdict is deterministic and
-    invariant under permutation of the per-shard buffer list. *)
+    shard's ledger; {!merged_verdict} replays shard-tagged streams in
+    [(time, shard, position)] order, the [Audit.merged] discipline, so
+    the combined verdict is deterministic and invariant under
+    permutation of the per-shard list. *)
 
 type property = Loss | Order | Duplicate | Buffer_conservation
 
@@ -48,24 +52,58 @@ type finding = {
   history : string list;  (** Last-k audit events of the flow, oldest first. *)
 }
 
+(** {1 Audit records} *)
+
+type kind = Arrival | Forward | Nf_arrival | Process | Drop | Event | Buffer
+
+val kind_name : kind -> string
+(** The ledger's record names: ["arrival"], ["forward"], ["nf_arrival"],
+    ["process"], ["drop"], ["event"], ["buffer"]. *)
+
+val kind_code : kind -> int
+val kind_of_code : int -> kind
+(** Dense codes 0–6 in declaration order, for packed storage. *)
+
+type entry = {
+  kind : kind;
+  pkt : int;  (** Packet id. *)
+  nf : string;  (** Instance (or switch port) the record names. *)
+  flow : int;
+      (** The packet's exact directed 5-tuple as a dense id, interned by
+          the ledger; rendered through the monitor's [flow_name]. *)
+  vt : float;  (** Virtual time of the record. *)
+}
+
+(** {1 Live monitoring} *)
+
 type t
 
-val create : ?shard:int -> ?history:int -> unit -> t
+val create :
+  ?shard:int -> ?history:int -> flow_name:(int -> string) -> unit -> t
 (** [shard] (default 0) tags this monitor's findings; [history]
-    (default 8) is the per-flow last-k event ring size. *)
+    (default 8) is the per-flow last-k event ring size; [flow_name]
+    renders an {!entry}'s flow id as the canonical 5-tuple string. It
+    runs at most once per flow, and only when a finding is emitted. *)
 
-val attach : t -> Trace.t -> unit
-(** Subscribe to a tracer's live stream. Typically the audit's tracer:
-    when the hub is tracing that is the shared hub trace (so op spans
-    flow through too and findings carry op/phase context); otherwise it
-    is the audit's private ledger and findings carry packets only. *)
+val record : t -> entry -> unit
+(** Push one audit record, in ledger emission order (what the ledger's
+    tap does per record). *)
 
 val feed : t -> Trace.ev -> unit
-(** Push one event by hand (what {!attach} does per event). Exposed for
-    replay-style checkers; events must arrive in stream order. *)
+(** Push one trace event: op spans and their phase marks give later
+    records their op/phase context; every other event is ignored. *)
+
+val attach : t -> Trace.t -> unit
+(** Subscribe {!feed} to a tracer's live stream, typically the engine
+    hub's. A disabled tracer delivers nothing, so findings then carry
+    packets only. *)
 
 val events_seen : t -> int
-(** Audit events consumed so far. *)
+(** Audit records consumed so far. *)
+
+val in_flight : t -> int
+(** Packets seen but not yet processed: the per-packet lifecycle state
+    the monitor still holds. *)
 
 val on_finding : t -> (finding -> unit) -> unit
 (** Called synchronously on every {e online} finding (order/duplicate
@@ -80,12 +118,24 @@ val verdict : t -> finding list
     (time, shard, packet, property). Does not mutate the monitor — it
     may be called repeatedly, and more events may still be fed after. *)
 
-val merged_verdict : ?history:int -> (int * Trace.t) list -> finding list
-(** Deterministic combined verdict over per-shard trace buffers
-    [(shard, trace)]: events replay in ((virtual time, shard tag,
-    buffer position)) order — the {!Audit.merged} discipline — through
-    a fresh monitor. The result is a pure function of the tagged
-    buffers, invariant under permutation of the list. *)
+(** {1 Replay} *)
+
+type item = Span of Trace.ev | Record of entry
+(** One element of a replayed stream: a trace event ({!feed}) or an
+    audit record ({!record}). *)
+
+val merged_verdict :
+  ?history:int ->
+  flow_name:(int -> string) ->
+  (int * item Seq.t) list ->
+  finding list
+(** Deterministic combined verdict over shard-tagged streams
+    [(shard, items)] through a fresh monitor. Flow ids must share one
+    id space across the streams. Items replay in ((virtual time, shard
+    tag, stream position)) order — the [Audit.merged] discipline; a
+    single stream replays as is, since one engine's clock never runs
+    backwards. The result is a pure function of the tagged streams,
+    invariant under permutation of the list. *)
 
 val clean : finding list -> bool
 (** [findings = []]. *)

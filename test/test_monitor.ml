@@ -121,6 +121,96 @@ let test_seeded_reorder () =
   let v' = Fabric.verdict tb'.H.fab in
   Alcotest.(check bool) (Monitor.render v') true (Monitor.clean v')
 
+(* --- typed stream, hand-fed ---------------------------------------------------- *)
+
+let ev ?(id = 0) ?(parent = 0) ?(attrs = [||]) kind ~cat ~name vt =
+  { Trace.kind; id; parent; cat; name; vt; wall = 0.0; attrs }
+
+let rec_ kind ~pkt ~nf ~flow vt = { Monitor.kind; pkt; nf; flow; vt }
+
+(* A packet processed under a move, retired, then processed again after
+   the move closed: the duplicate finding keeps the first sighting's
+   flow and the last op context the packet was seen under, and takes
+   the shard and time of the duplicate record itself. *)
+let test_duplicate_after_retire () =
+  let m =
+    Monitor.create ~shard:3
+      ~flow_name:(function 0 -> "flow-a" | 1 -> "flow-b" | _ -> "?")
+      ()
+  in
+  Monitor.feed m
+    (ev Trace.Begin ~id:5 ~cat:"op" ~name:"move"
+       ~attrs:[| ("shard", Trace.Int 1) |]
+       0.5);
+  Monitor.feed m (ev Trace.Instant ~parent:5 ~cat:"op" ~name:"captured" 0.6);
+  Monitor.record m (rec_ Monitor.Forward ~pkt:1 ~nf:"nf1" ~flow:0 1.0);
+  Monitor.record m (rec_ Monitor.Forward ~pkt:2 ~nf:"nf1" ~flow:1 1.05);
+  Monitor.record m (rec_ Monitor.Process ~pkt:1 ~nf:"nf1" ~flow:0 1.1);
+  Alcotest.(check int) "pkt 1 retired, pkt 2 in flight" 1
+    (Monitor.in_flight m);
+  Monitor.feed m (ev Trace.End ~id:5 ~cat:"" ~name:"" 1.5);
+  Monitor.record m (rec_ Monitor.Process ~pkt:1 ~nf:"nf2" ~flow:0 2.0);
+  Monitor.record m (rec_ Monitor.Process ~pkt:2 ~nf:"nf1" ~flow:1 2.1);
+  Alcotest.(check int) "nothing in flight" 0 (Monitor.in_flight m);
+  Alcotest.(check int) "records seen" 5 (Monitor.events_seen m);
+  match Monitor.findings m with
+  | [ f ] ->
+    Alcotest.(check string) "property" "duplicate"
+      (Monitor.property_name f.Monitor.property);
+    Alcotest.(check string) "flow" "flow-a" f.Monitor.flow;
+    Alcotest.(check int) "pkt" 1 f.Monitor.pkt;
+    Alcotest.(check int) "shard: the record's own (no op open)" 3
+      f.Monitor.shard;
+    Alcotest.(check (float 0.0)) "vt" 2.0 f.Monitor.vt;
+    Alcotest.(check int) "op span: last context seen" 5 f.Monitor.op_span;
+    Alcotest.(check string) "op" "move" f.Monitor.op;
+    Alcotest.(check string) "phase" "captured" f.Monitor.phase;
+    Alcotest.(check string) "detail" "processed again at nf2"
+      f.Monitor.detail;
+    Alcotest.(check (list string)) "history, rendered on emission"
+      [
+        "1.000000 forward pkt=1 nf=nf1";
+        "1.100000 process pkt=1 nf=nf1";
+        "2.000000 process pkt=1 nf=nf2";
+      ]
+      f.Monitor.history;
+    Alcotest.(check bool) "verdict: the duplicate only" true
+      (Monitor.verdict m = [ f ])
+  | fs -> Alcotest.failf "expected one finding:\n%s" (Monitor.render fs)
+
+(* Under an open op the duplicate takes that op's context and shard. *)
+let test_duplicate_under_op () =
+  let m = Monitor.create ~flow_name:(fun _ -> "flow") () in
+  Monitor.record m (rec_ Monitor.Process ~pkt:9 ~nf:"nf1" ~flow:0 1.0);
+  Monitor.feed m
+    (ev Trace.Begin ~id:2 ~cat:"op" ~name:"copy"
+       ~attrs:[| ("shard", Trace.Int 4) |]
+       1.5);
+  Monitor.feed m (ev Trace.Begin ~id:3 ~parent:2 ~cat:"op" ~name:"xfer" 1.6);
+  Monitor.feed m (ev Trace.Instant ~parent:3 ~cat:"op" ~name:"ack" 1.7);
+  Monitor.record m (rec_ Monitor.Process ~pkt:9 ~nf:"nf2" ~flow:0 2.0);
+  match Monitor.findings m with
+  | [ f ] ->
+    Alcotest.(check (list string)) "shard/op/phase"
+      [ "4"; "2"; "copy"; "ack" ]
+      [
+        string_of_int f.Monitor.shard;
+        string_of_int f.Monitor.op_span;
+        f.Monitor.op;
+        f.Monitor.phase;
+      ]
+  | fs -> Alcotest.failf "expected one finding:\n%s" (Monitor.render fs)
+
+(* A clean monitored run leaves no per-packet lifecycle state behind. *)
+let test_in_flight_drains () =
+  let _obs, tb = traced_bed () in
+  run_move tb (lf_spec tb);
+  match tb.H.fab.Fabric.monitors with
+  | [| m |] ->
+    Alcotest.(check bool) "records seen" true (Monitor.events_seen m > 0);
+    Alcotest.(check int) "in flight after a clean run" 0 (Monitor.in_flight m)
+  | _ -> Alcotest.fail "expected one monitor"
+
 (* --- tap discipline ----------------------------------------------------------- *)
 
 let test_disabled_tap () =
@@ -136,9 +226,10 @@ let test_disabled_tap () =
 
 (* --- permutation invariance (QCheck) ---------------------------------------- *)
 
-(* Random parallel workloads on 2 or 4 shards: the merged verdict and
-   the canonical trace export are pure functions of the set of
-   shard-tagged buffers, whatever order the shards are listed in. *)
+(* Random parallel workloads on 2 or 4 shards: the merged verdict over
+   the shard-tagged ledgers and the canonical export of the per-shard
+   hub traces are pure functions of their sets, whatever order the
+   shards are listed in. *)
 
 type pconfig = { seed : int; shards : int; ops : int; flows : int; rot : int }
 
@@ -171,10 +262,14 @@ let pair_key i k =
     ~src:(Ipaddr.of_int (Ipaddr.to_int (Ipaddr.v 10 (120 + i) 0 0) + k + 1))
     ~dst:(Ipaddr.v 172 31 0 1) ~proto:Flow.Tcp ~sport:(40000 + k) ~dport:443 ()
 
-(* Run the random workload on a parallel fabric and return the
-   shard-tagged audit traces. *)
-let par_traces c =
-  let fab = Fabric.create ~seed:c.seed ~shards:c.shards ~par:true () in
+(* Run the random workload on a parallel fabric with one tracing hub per
+   shard; return the shard-tagged ledgers and hub traces. *)
+let par_run c =
+  let hubs = Array.init c.shards (fun _ -> Hub.create ~trace:true ()) in
+  let fab =
+    Fabric.create ~seed:c.seed ~shards:c.shards ~par:true
+      ~shard_obs:(Array.get hubs) ()
+  in
   let pairs =
     List.init c.ops (fun i ->
         let d1 = Dummy.create () in
@@ -207,7 +302,8 @@ let par_traces c =
             pairs
           |> List.iter (fun iv -> ignore (Proc.Ivar.read iv))));
   Fabric.run fab;
-  List.mapi (fun k a -> (k, Audit.trace a)) (Array.to_list fab.Fabric.audits)
+  ( List.mapi (fun k a -> (k, a)) (Array.to_list fab.Fabric.audits),
+    List.mapi (fun k h -> (k, Hub.trace h)) (Array.to_list hubs) )
 
 let rotate n l =
   let len = List.length l in
@@ -222,12 +318,12 @@ let prop_permutation_invariance =
   QCheck.Test.make
     ~name:"merged verdict + canonical export invariant under shard permutation"
     ~count:10 pconfig_arb (fun c ->
-      let traces = par_traces c in
-      let permuted = rotate c.rot (List.rev traces) in
-      let v1 = Monitor.merged_verdict traces in
-      let v2 = Monitor.merged_verdict permuted in
+      let ledgers, traces = par_run c in
+      let permute l = rotate c.rot (List.rev l) in
+      let v1 = Audit.verdict ledgers in
+      let v2 = Audit.verdict (permute ledgers) in
       let c1 = Export.canonical (List.map snd traces) in
-      let c2 = Export.canonical (List.map snd permuted) in
+      let c2 = Export.canonical (List.map snd (permute traces)) in
       Monitor.clean v1
       && String.equal (Monitor.render v1) (Monitor.render v2)
       && v1 = v2
@@ -248,4 +344,10 @@ let suite =
     Alcotest.test_case "tap on a disabled tracer never fires" `Quick
       test_disabled_tap;
     QCheck_alcotest.to_alcotest prop_permutation_invariance;
+    Alcotest.test_case "typed stream: duplicate after retirement" `Quick
+      test_duplicate_after_retire;
+    Alcotest.test_case "typed stream: duplicate under an open op" `Quick
+      test_duplicate_under_op;
+    Alcotest.test_case "in-flight state drains after a clean run" `Quick
+      test_in_flight_drains;
   ]

@@ -152,6 +152,44 @@ let test_disabled_alloc () =
        per_op)
     true (per_op < 1.0)
 
+(* The audit ledger's recording path, untraced and untapped: flat column
+   writes plus interning hits. Column growth past the first few doublings
+   allocates directly in the major heap, so once the columns are
+   pre-grown any minor allocation is per-record boxing creeping back. *)
+let test_audit_alloc () =
+  let e = Engine.create () in
+  let a = Audit.create e in
+  let key i =
+    Flow.make ~src:(Ipaddr.v 10 0 0 (1 + i)) ~dst:(Ipaddr.v 172 16 0 1)
+      ~sport:(1000 + i) ~dport:80 ()
+  in
+  let pkts =
+    Array.init 64 (fun i ->
+        Packet.create ~id:i ~key:(key (i mod 4)) ~sent_at:0.0 ())
+  in
+  let n = ref 0 in
+  let step () =
+    let p = pkts.(!n land 63) in
+    incr n;
+    match !n mod 7 with
+    | 0 -> Audit.log_switch_arrival a p
+    | 1 -> Audit.log_forward a p ~dst:"nf1"
+    | 2 -> Audit.log_nf_arrival a p ~nf:"nf1"
+    | 3 -> Audit.log_process a p ~nf:"nf2"
+    | 4 -> Audit.log_drop a p ~nf:"nf2"
+    | 5 -> Audit.log_evented a p ~nf:"nf3"
+    | _ -> Audit.log_buffered a p ~nf:"nf3"
+  in
+  (* Pre-grow the columns and intern every flow, NF and arrival. *)
+  for _ = 1 to 10_000 do
+    step ()
+  done;
+  let per_call = minor_words_per ~iters:100_000 step in
+  Alcotest.(check bool)
+    (Printf.sprintf "Audit.log_* allocates ~0 minor words/call (got %.4f)"
+       per_call)
+    true (per_call < 0.01)
+
 (* --- metrics vs operation reports ---------------------------------------- *)
 
 let test_metrics_reconcile () =
@@ -250,4 +288,6 @@ let suite =
     Alcotest.test_case "chrome export shape" `Quick test_chrome_shape;
     QCheck_alcotest.to_alcotest summary_merge_prop;
     QCheck_alcotest.to_alcotest histogram_merge_prop;
+    Alcotest.test_case "audit ledger allocation budget" `Quick
+      test_audit_alloc;
   ]
