@@ -4,14 +4,6 @@ module Monitor = Opennf_obs.Monitor
 
 type record = { pkt : int; key : Flow.key; nf : string; time : float }
 
-(* Copy [a] into an array of at least [2 * length a] slots, padded with
-   [fill] (a float [fill] makes a flat float array). *)
-let grow a fill =
-  let n = Array.length a in
-  let b = Array.make (Stdlib.max 64 (2 * n)) fill in
-  Array.blit a 0 b 0 n;
-  b
-
 (* Dense interning: values get ids 0, 1, ... in first-seen order. A hit
    is one hash lookup and allocates nothing. *)
 module Intern (H : Hashtbl.S) = struct
@@ -24,7 +16,11 @@ module Intern (H : Hashtbl.S) = struct
     | i -> i
     | exception Not_found ->
       let i = t.n in
-      if i = Array.length t.vals then t.vals <- grow t.vals v;
+      if i = Array.length t.vals then begin
+        let vals = Array.make (Stdlib.max 64 (2 * i)) v in
+        Array.blit t.vals 0 vals 0 i;
+        t.vals <- vals
+      end;
       t.vals.(i) <- v;
       H.add t.ids v i;
       t.n <- i + 1;
@@ -49,19 +45,27 @@ module Names = Intern (Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end))
 
-(* One row per record, in emission order. [mirror] is the hub trace when
-   it is tracing, else the disabled tracer. *)
+(* Rows are 24 bytes, in emission order, in fixed-size [Bytes] slabs
+   that are appended to and never copied (nor scanned by the GC): packet
+   id; tag = kind code lor (NF id lsl 3), lor (flow id lsl 32); time. *)
+let slab_bits = 12
+let slab_mask = (1 lsl slab_bits) - 1
+let row_bytes = 24
+
+(* [mirror] is the hub trace when it is tracing, else the disabled
+   tracer. [last_nf] caches the last NF name's id: names come in runs. *)
 type t = {
   engine : Engine.t;
   mirror : Trace.t;
   mutable len : int;
-  mutable pkts : int array;
-  mutable tags : int array;  (* kind code lor (nf id lsl 3) *)
-  mutable flows : int array;
-  mutable times : float array;
+  mutable slabs : Bytes.t array;
   keys : Keys.t;
   nfs : Names.t;
-  arrived : (int, unit) Hashtbl.t;
+  mutable last_nf : string;
+  mutable last_nf_id : int;
+  mutable arrived : Bytes.t;
+  mutable pkt_flows : Bytes.t;
+  hashed_arrived : (int, unit) Hashtbl.t;
   mutable taps : (Monitor.entry -> unit) list;
   (* First-time index: [(pkt lsl 3) lor kind code] -> row of the
      packet's first record of that kind, over rows [0, first_upto). *)
@@ -69,22 +73,33 @@ type t = {
   mutable first_upto : int;
 }
 
+(* The switch is interned first (id 0), so arrivals need no lookup. *)
 let make engine mirror =
+  let nfs = Names.create () in
+  ignore (Names.id nfs "sw");
   {
     engine;
     mirror;
     len = 0;
-    pkts = Array.make 64 0;
-    tags = Array.make 64 0;
-    flows = Array.make 64 0;
-    times = Array.make 64 0.0;
+    slabs = [||];
     keys = Keys.create ();
-    nfs = Names.create ();
-    arrived = Hashtbl.create 1024;
+    nfs;
+    last_nf = "sw";
+    last_nf_id = 0;
+    arrived = Bytes.make 128 '\000';
+    pkt_flows = Bytes.make 4096 '\000';
+    hashed_arrived = Hashtbl.create 16;
     taps = [];
     first = Hashtbl.create 16;
     first_upto = 0;
   }
+
+(* Packet ids in [0, 2 * rows + 65536) are dense: they index the arrival
+   bitset and a cache of the packet's last flow id (4 bytes, id + 1), so
+   both stay O(records). Other ids take the hashed arrival set. The bound
+   only grows, so an id hashed early may be dense later: arrival lookups
+   also read the hashed set while it is not empty. *)
+let dense t id = id >= 0 && id < (2 * t.len) + 65536
 
 let create engine =
   let obs = Engine.obs engine in
@@ -92,18 +107,26 @@ let create engine =
     (if Opennf_obs.Hub.tracing obs then Opennf_obs.Hub.trace obs
      else Trace.disabled)
 
-let kind_of t i = Monitor.kind_of_code (t.tags.(i) land 7)
-let nf_of t i = Names.value t.nfs (t.tags.(i) lsr 3)
-let key_of t i = Keys.value t.keys t.flows.(i)
+let[@inline] word t i w =
+  Bytes.get_int64_le t.slabs.(i lsr slab_bits)
+    (((i land slab_mask) * row_bytes) + (8 * w))
+
+let pkt_at t i = Int64.to_int (word t i 0)
+let tag_at t i = Int64.to_int (word t i 1) land 0xFFFF_FFFF
+let flow_at t i = Int64.to_int (word t i 1) lsr 32
+let time_at t i = Int64.float_of_bits (word t i 2)
+let kind_of t i = Monitor.kind_of_code (tag_at t i land 7)
+let nf_of t i = Names.value t.nfs (tag_at t i lsr 3)
+let key_of t i = Keys.value t.keys (flow_at t i)
 
 (* Row [i] as a typed entry, its flow id mapped through [flow]. *)
 let entry t ~flow i =
   {
     Monitor.kind = kind_of t i;
-    pkt = t.pkts.(i);
+    pkt = pkt_at t i;
     nf = nf_of t i;
-    flow = flow t.flows.(i);
-    vt = t.times.(i);
+    flow = flow (flow_at t i);
+    vt = time_at t i;
   }
 
 let on_entry t f = t.taps <- t.taps @ [ f ]
@@ -143,29 +166,65 @@ let mirror t kind pkt nf (k : Flow.key) =
       |]
     ()
 
-let append t ~pkt ~kind ~nf ~key ~time =
-  let i = t.len in
-  if i = Array.length t.pkts then begin
-    t.pkts <- grow t.pkts 0;
-    t.tags <- grow t.tags 0;
-    t.flows <- grow t.flows 0;
-    t.times <- grow t.times 0.0
-  end;
-  t.pkts.(i) <- pkt;
-  t.tags.(i) <- Monitor.kind_code kind lor (Names.id t.nfs nf lsl 3);
-  t.flows.(i) <- Keys.id t.keys key;
-  t.times.(i) <- time;
+let append t ~pkt ~tag ~flow ~time =
+  let i = t.len and s = t.len lsr slab_bits in
+  if s = Array.length t.slabs then
+    t.slabs <- Array.append t.slabs (Array.make (Stdlib.max 8 s) Bytes.empty);
+  if i land slab_mask = 0 then
+    t.slabs.(s) <- Bytes.create ((slab_mask + 1) * row_bytes);
+  let b = t.slabs.(s) and o = (i land slab_mask) * row_bytes in
+  Bytes.set_int64_le b o (Int64.of_int pkt);
+  Bytes.set_int64_le b (o + 8) (Int64.of_int (tag lor (flow lsl 32)));
+  Bytes.set_int64_le b (o + 16) (Int64.bits_of_float time);
   t.len <- i + 1
 
-let log t kind (p : Packet.t) nf =
-  append t ~pkt:p.Packet.id ~kind ~nf ~key:p.Packet.key
-    ~time:(Engine.now t.engine);
-  if Trace.enabled t.mirror then mirror t kind p.Packet.id nf p.Packet.key;
+(* [b] zero-extended, by doubling, to more than [n] bytes. *)
+let widen b n =
+  let len = ref (Bytes.length b) in
+  while !len <= n do
+    len := 2 * !len
+  done;
+  let b' = Bytes.make !len '\000' in
+  Bytes.blit b 0 b' 0 (Bytes.length b);
+  b'
+
+(* The flow cached for a dense packet id if it is this key (an id may
+   be reused with another key), else one hash lookup. *)
+let flow_id t pkt key =
+  if not (dense t pkt) then Keys.id t.keys key
+  else begin
+    if 4 * pkt >= Bytes.length t.pkt_flows then
+      t.pkt_flows <- widen t.pkt_flows (4 * pkt);
+    let c = Int32.to_int (Bytes.get_int32_le t.pkt_flows (4 * pkt)) - 1 in
+    if c >= 0 && (let k = Keys.value t.keys c in k == key || Flow.equal k key)
+    then c
+    else begin
+      let f = Keys.id t.keys key in
+      Bytes.set_int32_le t.pkt_flows (4 * pkt) (Int32.of_int (f + 1));
+      f
+    end
+  end
+
+let nf_id t nf =
+  if not (nf == t.last_nf || String.equal nf t.last_nf) then begin
+    t.last_nf_id <- Names.id t.nfs nf;
+    t.last_nf <- nf
+  end;
+  t.last_nf_id
+
+let log_id t kind (p : Packet.t) nf nf_ix =
+  let pkt = p.Packet.id and key = p.Packet.key in
+  append t ~pkt
+    ~tag:(Monitor.kind_code kind lor (nf_ix lsl 3))
+    ~flow:(flow_id t pkt key) ~time:(Engine.now t.engine);
+  if Trace.enabled t.mirror then mirror t kind pkt nf key;
   match t.taps with
   | [] -> ()
   | taps ->
     let e = entry t ~flow:Fun.id (t.len - 1) in
     List.iter (fun f -> f e) taps
+
+let log t kind p nf = log_id t kind p nf (nf_id t nf)
 
 (* Rows of all sources in (virtual time, source index, position) order —
    a pure function of the per-shard ledgers, so the merge is as
@@ -181,7 +240,7 @@ let merged engine sources =
   in
   Array.sort
     (fun (s1, i1) (s2, i2) ->
-      let c = Float.compare srcs.(s1).times.(i1) srcs.(s2).times.(i2) in
+      let c = Float.compare (time_at srcs.(s1) i1) (time_at srcs.(s2) i2) in
       if c <> 0 then c
       else
         let c = Int.compare s1 s2 in
@@ -190,16 +249,29 @@ let merged engine sources =
   Array.iter
     (fun (s, i) ->
       let a = srcs.(s) in
-      append t ~pkt:a.pkts.(i) ~kind:(kind_of a i) ~nf:(nf_of a i)
-        ~key:(key_of a i) ~time:a.times.(i))
+      append t ~pkt:(pkt_at a i)
+        ~tag:((tag_at a i land 7) lor (Names.id t.nfs (nf_of a i) lsl 3))
+        ~flow:(Keys.id t.keys (key_of a i))
+        ~time:(time_at a i))
     rows;
   t
 
-let log_switch_arrival t p =
-  if not (Hashtbl.mem t.arrived p.Packet.id) then begin
-    Hashtbl.add t.arrived p.Packet.id ();
-    log t Monitor.Arrival p "sw"
+(* Whether packet [id] already arrived; marks it arrived. *)
+let seen_arrival t id =
+  let hashed =
+    Hashtbl.length t.hashed_arrived > 0 && Hashtbl.mem t.hashed_arrived id
+  in
+  if dense t id then begin
+    if id lsr 3 >= Bytes.length t.arrived then
+      t.arrived <- widen t.arrived (id lsr 3);
+    let byte = Bytes.get_uint8 t.arrived (id lsr 3) and bit = 1 lsl (id land 7) in
+    Bytes.set_uint8 t.arrived (id lsr 3) (byte lor bit);
+    hashed || byte land bit <> 0
   end
+  else hashed || (Hashtbl.add t.hashed_arrived id (); false)
+
+let log_switch_arrival t p =
+  if not (seen_arrival t p.Packet.id) then log_id t Monitor.Arrival p "sw" 0
 
 let log_forward t p ~dst = log t Monitor.Forward p dst
 let log_nf_arrival t p ~nf = log t Monitor.Nf_arrival p nf
@@ -252,7 +324,7 @@ let verdict ?history sources =
 let iter_kind t kind f =
   let code = Monitor.kind_code kind in
   for i = 0 to t.len - 1 do
-    if t.tags.(i) land 7 = code then f i
+    if tag_at t i land 7 = code then f i
   done
 
 (* Row predicates, evaluated once per interned flow or NF. *)
@@ -264,7 +336,7 @@ let flow_pred filter t =
       Array.init (Keys.count t.keys) (fun id ->
           Filter.matches_flow f (Keys.value t.keys id))
     in
-    fun i -> ok.(t.flows.(i))
+    fun i -> ok.(flow_at t i)
 
 let nf_pred nf t =
   match nf with
@@ -272,20 +344,21 @@ let nf_pred nf t =
   | Some n -> (
     match Names.find t.nfs n with
     | None -> fun _ -> false
-    | Some id -> fun i -> t.tags.(i) lsr 3 = id)
+    | Some id -> fun i -> tag_at t i lsr 3 = id)
 
 let ids_of_kind t kind pred =
   let acc = ref [] in
-  iter_kind t kind (fun i -> if pred i then acc := t.pkts.(i) :: !acc);
+  iter_kind t kind (fun i -> if pred i then acc := pkt_at t i :: !acc);
   List.rev !acc
 
 let forwarded_order ?filter t =
   let in_filter = flow_pred filter t in
   let seen = Hashtbl.create 64 in
   ids_of_kind t Monitor.Forward (fun i ->
+      let id = pkt_at t i in
       in_filter i
-      && (not (Hashtbl.mem seen t.pkts.(i)))
-      && (Hashtbl.add seen t.pkts.(i) ();
+      && (not (Hashtbl.mem seen id))
+      && (Hashtbl.add seen id ();
           true))
 
 let processed_order ?filter ?nf t =
@@ -303,15 +376,15 @@ let lost ?filter t ~nfs =
       Array.init (Names.count t.nfs) (fun id ->
           List.mem (Names.value t.nfs id) nfs)
     in
-    fun i -> ok.(t.tags.(i) lsr 3)
+    fun i -> ok.(tag_at t i lsr 3)
   in
   let processed = Hashtbl.create 1024 in
   iter_kind t Monitor.Process (fun i ->
-      if in_nfs i then Hashtbl.replace processed t.pkts.(i) ());
+      if in_nfs i then Hashtbl.replace processed (pkt_at t i) ());
   let in_filter = flow_pred filter t in
   let seen = Hashtbl.create 64 in
   ids_of_kind t Monitor.Forward (fun i ->
-      let id = t.pkts.(i) in
+      let id = pkt_at t i in
       in_filter i && in_nfs i
       && (not (Hashtbl.mem seen id))
       && (not (Hashtbl.mem processed id))
@@ -323,7 +396,7 @@ let duplicated ?filter t =
   let counts = Hashtbl.create 1024 in
   iter_kind t Monitor.Process (fun i ->
       if in_filter i then
-        let id = t.pkts.(i) in
+        let id = pkt_at t i in
         Hashtbl.replace counts id
           (1 + Option.value ~default:0 (Hashtbl.find_opt counts id)));
   Hashtbl.fold (fun id n acc -> if n > 1 then id :: acc else acc) counts []
@@ -356,12 +429,12 @@ let arrival_order_violations ?filter t =
 
 let first_time t kind pkt =
   for i = t.first_upto to t.len - 1 do
-    let k = (t.pkts.(i) lsl 3) lor (t.tags.(i) land 7) in
+    let k = (pkt_at t i lsl 3) lor (tag_at t i land 7) in
     if not (Hashtbl.mem t.first k) then Hashtbl.add t.first k i
   done;
   t.first_upto <- t.len;
   Hashtbl.find_opt t.first ((pkt lsl 3) lor Monitor.kind_code kind)
-  |> Option.map (fun i -> t.times.(i))
+  |> Option.map (fun i -> time_at t i)
 
 let added_latency t ~pkt =
   match

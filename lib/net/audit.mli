@@ -9,15 +9,20 @@
     - {b order preservation}: the cross-instance processing order equals
       the switch's (first-time) forwarding order.
 
-    Records are rows of flat, growable columns: packet id, kind with the
-    interned NF name, the interned flow (the packet's exact directed
-    5-tuple) and virtual time. Recording allocates nothing beyond column
-    growth, a flow's or NF's first sighting and the arrival-dedupe
-    table. When the engine's hub is tracing, each record is also
-    mirrored into the hub trace as an instant (cat ["audit"]; attrs pkt,
-    nf, src, dst, proto, sport, dport), so packet events and op spans
-    share one deterministic buffer and one Chrome export. Queries always
-    read the columns. *)
+    Records are 24-byte rows in fixed-size byte slabs that are appended
+    to and never copied: packet id, kind with the interned NF name, the
+    interned flow (the packet's exact directed 5-tuple) and virtual time.
+    A record costs O(1) with no hashing: the flow id is cached per packet
+    id (and checked against the key, so a reused id still interns
+    right), the NF id comes from a last-name cache, and switch arrivals
+    are deduplicated by a bitset over packet ids. Negative and far-out
+    ids take a hashed path, so memory stays O(records). Recording
+    allocates nothing beyond a new slab, the doubling of the per-id
+    tables and a flow's or NF's first sighting. When the engine's hub is
+    tracing, each record is also mirrored into the hub trace as an
+    instant (cat ["audit"]; attrs pkt, nf, src, dst, proto, sport,
+    dport), so packet events and op spans share one deterministic buffer
+    and one Chrome export. Queries always read the rows. *)
 
 type t
 

@@ -63,8 +63,6 @@ let compare_opt cmp a b =
   | Some _, None -> 1
   | Some x, Some y -> cmp x y
 
-let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
-
 let flag_rank = function
   | Packet.Syn -> 0
   | Packet.Ack -> 1
@@ -76,8 +74,9 @@ let compare a b =
   let ( <?> ) c next = if c <> 0 then c else next () in
   compare_opt Ipaddr.Prefix.compare a.src b.src <?> fun () ->
   compare_opt Ipaddr.Prefix.compare a.dst b.dst <?> fun () ->
-  compare_opt (fun x y -> Int.compare (proto_rank x) (proto_rank y)) a.proto
-    b.proto
+  compare_opt
+    (fun x y -> Int.compare (Flow.proto_rank x) (Flow.proto_rank y))
+    a.proto b.proto
   <?> fun () ->
   compare_opt Int.compare a.src_port b.src_port <?> fun () ->
   compare_opt Int.compare a.dst_port b.dst_port <?> fun () ->
@@ -96,7 +95,7 @@ let hash t =
   in
   let int64_of_opt f = function None -> -1L | Some x -> Int64.of_int (f x) in
   let h = combine (prefix64 t.src) (prefix64 t.dst) in
-  let h = combine h (int64_of_opt proto_rank t.proto) in
+  let h = combine h (int64_of_opt Flow.proto_rank t.proto) in
   let h = combine h (int64_of_opt Fun.id t.src_port) in
   let h = combine h (int64_of_opt Fun.id t.dst_port) in
   let h = combine h (int64_of_opt flag_rank t.tcp_flag) in

@@ -30,6 +30,8 @@ let reverse k =
     dst_port = k.src_port;
   }
 
+let proto_rank = function Tcp -> 0 | Udp -> 1 | Icmp -> 2
+
 let compare a b =
   let c = Ipaddr.compare a.src_ip b.src_ip in
   if c <> 0 then c
@@ -37,13 +39,16 @@ let compare a b =
     let c = Ipaddr.compare a.dst_ip b.dst_ip in
     if c <> 0 then c
     else
-      let c = Stdlib.compare a.proto b.proto in
+      let c = Int.compare (proto_rank a.proto) (proto_rank b.proto) in
       if c <> 0 then c
       else
         let c = Int.compare a.src_port b.src_port in
         if c <> 0 then c else Int.compare a.dst_port b.dst_port
 
-let equal a b = compare a b = 0
+let equal a b =
+  Ipaddr.equal a.src_ip b.src_ip
+  && Ipaddr.equal a.dst_ip b.dst_ip
+  && a.proto == b.proto && a.src_port = b.src_port && a.dst_port = b.dst_port
 
 let canonical k =
   let r = reverse k in
@@ -60,9 +65,7 @@ let hash k =
   in
   let h = combine h (Int64.of_int k.src_port) in
   let h = combine h (Int64.of_int k.dst_port) in
-  let h =
-    combine h (Int64.of_int (match k.proto with Tcp -> 0 | Udp -> 1 | Icmp -> 2))
-  in
+  let h = combine h (Int64.of_int (proto_rank k.proto)) in
   Int64.to_int h land max_int
 
 (* Endpoints packed as (ip << 16 | port) and ordered, so both directions
@@ -74,7 +77,7 @@ let conn_hash_parts ~src ~dst ~proto ~sport ~dport =
   let lo = if a <= b then a else b and hi = if a <= b then b else a in
   let m = 0x2545F4914F6CDD1D in
   let h = (lo * m) lxor hi in
-  let h = (h * m) lxor (match proto with Tcp -> 0 | Udp -> 1 | Icmp -> 2) in
+  let h = (h * m) lxor proto_rank proto in
   let h = h lxor (h lsr 29) in
   (h * m) lxor (h lsr 32) land max_int
 

@@ -30,6 +30,9 @@ val canonical : key -> key
 val is_forward : key -> bool
 (** True iff [canonical k = k]. *)
 
+val proto_rank : proto -> int
+(** [Tcp] 0, [Udp] 1, [Icmp] 2: the order {!compare} ranks protocols in. *)
+
 val compare : key -> key -> int
 val equal : key -> key -> bool
 val hash : key -> int

@@ -145,8 +145,6 @@ let[@inline] ehash src dst pr sp dp =
   let h = emix (emix (emix (emix (emix 0x9E3779B9 src) dst) pr) sp) dp in
   (h lxor (h lsr 29)) land max_int
 
-let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
-
 let[@inline] erow_matches t h src dst pr sp dp =
   Arena.get_u32 t.exact h 0 = src
   && Arena.get_u32 t.exact h 4 = dst
@@ -198,7 +196,7 @@ let erehash t slots =
 let eindex_add t e (k : Flow.key) =
   let src = Ipaddr.to_int k.Flow.src_ip
   and dst = Ipaddr.to_int k.Flow.dst_ip
-  and pr = proto_rank k.Flow.proto
+  and pr = Flow.proto_rank k.Flow.proto
   and sp = k.Flow.src_port
   and dp = k.Flow.dst_port in
   let i = ref (ehash src dst pr sp dp land t.emask) in
@@ -257,7 +255,7 @@ let eindex_remove t e (k : Flow.key) =
     eprobe_find t
       (Ipaddr.to_int k.Flow.src_ip)
       (Ipaddr.to_int k.Flow.dst_ip)
-      (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
+      (Flow.proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
   in
   if s <> -1 then begin
     let cookie = e.rule.cookie in
@@ -368,7 +366,7 @@ let exact_best t p =
     eprobe_find t
       (Ipaddr.to_int k.Flow.src_ip)
       (Ipaddr.to_int k.Flow.dst_ip)
-      (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
+      (Flow.proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
   in
   if s = -1 then None
   else begin

@@ -19,7 +19,9 @@ let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
    into a circular array of sorted chains; the bucket width adapts to
    the observed inter-event gap whenever the wheel resizes, keeping
    average occupancy (and thus sorted-insert cost) at a handful of
-   events. Dispatch scans forward from the current bucket and takes the
+   events; a finger on the last inserted event makes each insert of a
+   same-instant burst (or any monotone run within one bucket) O(1).
+   Dispatch scans forward from the current bucket and takes the
    first chain head whose [vb] matches the scanned slot — by
    construction the global minimum under (time, seq), because [vb] is
    monotone in [time] and equal times always share a bucket (so FIFO
@@ -50,6 +52,7 @@ module Wheel = struct
     mutable lastprio : float; (* time of the last dispatched event *)
     mutable overflow : event;
     mutable cached : event; (* memoized peek result; nil = none *)
+    mutable finger : event; (* last bucket insert; nil once popped/rebuilt *)
     mutable cached_overflow : bool;
   }
 
@@ -66,30 +69,39 @@ module Wheel = struct
       overflow = nil;
       cached = nil;
       cached_overflow = false;
+      finger = nil;
     }
 
   let[@inline] vb_of t time =
     let f = time *. t.inv_width in
     if f >= max_vb_float then far_vb else int_of_float f
 
-  (* Sorted insert by (time, seq) into the chain rooted at [get]/[set]. *)
+  (* Link [ev] into a sorted chain after [prev], a chain event [ev] does
+     not come before. *)
+  let link_after prev ev =
+    let prev = ref prev in
+    while !prev.next != nil && not (before ev !prev.next) do
+      prev := !prev.next
+    done;
+    ev.next <- !prev.next;
+    !prev.next <- ev
+
+  (* Sorted insert by (time, seq) into the chain rooted at [head]. *)
   let insert_sorted ev ~head ~set_head =
     if head == nil || before ev head then begin
       ev.next <- head;
       set_head ev
     end
-    else begin
-      let prev = ref head in
-      while !prev.next != nil && not (before ev !prev.next) do
-        prev := !prev.next
-      done;
-      ev.next <- !prev.next;
-      !prev.next <- ev
-    end
+    else link_after head ev
 
+  (* The walk resumes from the finger when [ev] does not come before it
+     in the same chain, so each insert of a same-instant burst is O(1). *)
   let insert_bucket t ev =
-    let i = ev.vb land t.mask in
-    insert_sorted ev ~head:t.buckets.(i) ~set_head:(fun e -> t.buckets.(i) <- e)
+    let i = ev.vb land t.mask and f = t.finger in
+    if f != nil && f.vb land t.mask = i && not (before ev f) then link_after f ev
+    else
+      insert_sorted ev ~head:t.buckets.(i) ~set_head:(fun e -> t.buckets.(i) <- e);
+    t.finger <- ev
 
   let insert_overflow t ev =
     insert_sorted ev ~head:t.overflow ~set_head:(fun e -> t.overflow <- e)
@@ -148,6 +160,7 @@ module Wheel = struct
     t.overflow <- nil;
     t.wheel_size <- 0;
     t.cached <- nil;
+    t.finger <- nil;
     (* Walk the sorted schedule backwards, prepending: each chain comes
        out ascending with O(1) work per event. *)
     for i = Array.length evs - 1 downto 0 do
@@ -229,6 +242,7 @@ module Wheel = struct
       t.wheel_size <- t.wheel_size - 1
     end;
     ev.next <- nil;
+    if ev == t.finger then t.finger <- nil;
     t.size <- t.size - 1;
     t.cached <- nil;
     t.lastprio <- ev.time;

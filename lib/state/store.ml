@@ -21,7 +21,6 @@ module Perflow_arena = struct
      13 key bytes, then padding so NF payload layouts start 8-aligned. *)
   let key_size = 13
   let payload_off = 16
-  let proto_rank = function Flow.Tcp -> 0 | Flow.Udp -> 1 | Flow.Icmp -> 2
   let proto_of_rank = function
     | 0 -> Flow.Tcp
     | 1 -> Flow.Udp
@@ -144,7 +143,7 @@ module Perflow_arena = struct
       probe_find t
         (Ipaddr.to_int k.Flow.src_ip)
         (Ipaddr.to_int k.Flow.dst_ip)
-        (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
+        (Flow.proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
     in
     if s = -1 then Arena.null else t.idx.(s)
 
@@ -158,7 +157,7 @@ module Perflow_arena = struct
     let k = Flow.canonical k in
     let src = Ipaddr.to_int k.Flow.src_ip
     and dst = Ipaddr.to_int k.Flow.dst_ip
-    and pr = proto_rank k.Flow.proto
+    and pr = Flow.proto_rank k.Flow.proto
     and sp = k.Flow.src_port
     and dp = k.Flow.dst_port in
     (* One pass: find the key, remembering the first reusable slot. *)
@@ -212,7 +211,7 @@ module Perflow_arena = struct
       probe_find t
         (Ipaddr.to_int k.Flow.src_ip)
         (Ipaddr.to_int k.Flow.dst_ip)
-        (proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
+        (Flow.proto_rank k.Flow.proto) k.Flow.src_port k.Flow.dst_port
     in
     if s = -1 then false
     else begin
@@ -291,22 +290,21 @@ module Perflow = struct
 end
 
 module Per_host = struct
-  type 'a t = {
-    table : (Ipaddr.t, 'a) Hashtbl.t;
-    sorted : (Ipaddr.t, 'a) Omap.t;
-  }
+  module H = Hashtbl.Make (Ipaddr)
+
+  type 'a t = { table : 'a H.t; sorted : (Ipaddr.t, 'a) Omap.t }
 
   let create () =
-    { table = Hashtbl.create 64; sorted = Omap.create ~cmp:Ipaddr.compare }
+    { table = H.create 64; sorted = Omap.create ~cmp:Ipaddr.compare }
 
-  let find t ip = Hashtbl.find_opt t.table ip
+  let find t ip = H.find_opt t.table ip
 
   let set t ip v =
-    Hashtbl.replace t.table ip v;
+    H.replace t.table ip v;
     Omap.set t.sorted ip v
 
   let remove t ip =
-    Hashtbl.remove t.table ip;
+    H.remove t.table ip;
     Omap.remove t.sorted ip
 
   let update t ip ~default ~f =
@@ -338,7 +336,7 @@ module Per_host = struct
       List.filter_map
         (fun ip ->
           if Filter.matches_host filter ip then
-            Option.map (fun v -> (ip, v)) (Hashtbl.find_opt t.table ip)
+            Option.map (fun v -> (ip, v)) (H.find_opt t.table ip)
           else None)
         hosts
     | None ->
@@ -347,8 +345,8 @@ module Per_host = struct
           if Filter.matches_host filter ip then (ip, v) :: acc else acc)
         t.sorted []
 
-  let fold t ~init ~f = Hashtbl.fold (fun k v acc -> f k v acc) t.table init
-  let size t = Hashtbl.length t.table
+  let fold t ~init ~f = H.fold (fun k v acc -> f k v acc) t.table init
+  let size t = H.length t.table
 end
 
 module Keyed = struct

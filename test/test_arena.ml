@@ -400,6 +400,58 @@ let test_wheel_many_ties () =
     (ties (ref_sched ()))
     (ties (engine_sched (Engine.create ())))
 
+(* Same-instant bursts, the shape a source NF's batched delete acks
+   take, around the wheel's finger (its last bucket insert). Each wave
+   schedules 1500 events at the current instant into a bucket that
+   already holds later events, plus one more later event every 97th
+   push, so some pushes come before the finger; the wheel grows past
+   512 pending and shrinks again as the wave drains. The wave ends in a
+   chain of 200 zero-delay events, each one the finger when it is
+   popped and each scheduling the next, some after and some before a
+   later event; the chain's last event starts the next wave. *)
+let test_wheel_burst () =
+  let run d ~on_dispatch =
+    let log = ref [] in
+    let note id () =
+      log := (d.now (), id) :: !log;
+      on_dispatch ()
+    in
+    let rec wave w () =
+      note (w * 10_000) ();
+      for i = 1 to 1500 do
+        if i mod 97 = 0 then
+          d.schedule ~delay:(float_of_int i *. 1e-7) (note (-(w * 10_000) - i));
+        d.schedule ~delay:0.0
+          (if i = 1500 then chain w 1 else note ((w * 10_000) + i))
+      done
+    and chain w j () =
+      note ((w * 10_000) + 5000 + j) ();
+      let later () =
+        d.schedule ~delay:1e-6 (note (-(w * 10_000) - 5000 - j))
+      in
+      if j mod 7 = 0 then later ();
+      if j < 200 then d.schedule ~delay:0.0 (chain w (j + 1))
+      else if w < 4 then d.schedule ~delay:0.0 (wave (w + 1));
+      if j mod 11 = 0 then later ()
+    in
+    d.schedule ~delay:1.0 (wave 0);
+    d.run ();
+    List.rev !log
+  in
+  let want = run (ref_sched ()) ~on_dispatch:ignore in
+  let e = Engine.create () in
+  let peak = ref 0 in
+  let got =
+    run (engine_sched e) ~on_dispatch:(fun () ->
+        peak := max !peak (Engine.pending e))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "grew past 512 pending (peak %d)" !peak) true (!peak > 512);
+  Alcotest.(check bool)
+    (Printf.sprintf "dispatch log matches the reference queue (%d events)"
+       (List.length want))
+    true (want = got)
+
 (* --- NAT port allocation (regression) ---------------------------------- *)
 
 let mk_packet =
@@ -494,4 +546,6 @@ let suite =
       test_nat_port_wrap_and_recycle;
     Alcotest.test_case "nat: cursor wraps the range" `Quick
       test_nat_port_wraps_cursor;
+    Alcotest.test_case "wheel: same-instant bursts around the finger" `Quick
+      test_wheel_burst;
   ]

@@ -152,10 +152,10 @@ let test_disabled_alloc () =
        per_op)
     true (per_op < 1.0)
 
-(* The audit ledger's recording path, untraced and untapped: flat column
-   writes plus interning hits. Column growth past the first few doublings
-   allocates directly in the major heap, so once the columns are
-   pre-grown any minor allocation is per-record boxing creeping back. *)
+(* The audit ledger's recording path, untraced and untapped: row writes
+   into a slab plus cache and interning hits. Slabs and the per-id tables
+   are allocated directly in the major heap, so once they are warm any
+   minor allocation is per-record boxing creeping back. *)
 let test_audit_alloc () =
   let e = Engine.create () in
   let a = Audit.create e in
@@ -189,6 +189,42 @@ let test_audit_alloc () =
     (Printf.sprintf "Audit.log_* allocates ~0 minor words/call (got %.4f)"
        per_call)
     true (per_call < 0.01)
+
+(* Ledger growth from empty: 1M records of the steady-datapath shape
+   (per packet: switch arrival, forward, NF arrival, process; 10k flows;
+   sequential ids). A row is 3 words of a fixed-size slab, the per-id
+   tables grow by doubling, and nothing is boxed per record, so growth
+   costs at most 4 major words and well under a minor word a record. *)
+let test_audit_growth_alloc () =
+  let flows =
+    Array.init 10_000 (fun i ->
+        Flow.make ~src:(Ipaddr.of_int (0x0A000000 + i)) ~dst:(Ipaddr.v 172 16 0 1)
+          ~sport:(1024 + i) ~dport:80 ())
+  in
+  let pkts =
+    Array.init 250_000 (fun id ->
+        Packet.create ~id ~key:flows.(id mod 10_000) ~sent_at:0.0 ())
+  in
+  let a = Audit.create (Engine.create ()) in
+  let port = String.concat "" [ "prads"; "1" ] and nf = "prads1" in
+  Gc.minor ();
+  let minor0, _, major0 = Gc.counters () in
+  Array.iter
+    (fun p ->
+      Audit.log_switch_arrival a p;
+      Audit.log_forward a p ~dst:port;
+      Audit.log_nf_arrival a p ~nf;
+      Audit.log_process a p ~nf)
+    pkts;
+  Gc.minor ();
+  let minor1, _, major1 = Gc.counters () in
+  let major = (major1 -. major0) /. 1e6 and minor = (minor1 -. minor0) /. 1e6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 4 major words/record (got %.2f)" major)
+    true (major <= 4.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "< 0.25 minor words/record (got %.3f)" minor)
+    true (minor < 0.25)
 
 (* --- metrics vs operation reports ---------------------------------------- *)
 
@@ -290,4 +326,6 @@ let suite =
     QCheck_alcotest.to_alcotest histogram_merge_prop;
     Alcotest.test_case "audit ledger allocation budget" `Quick
       test_audit_alloc;
+    Alcotest.test_case "audit ledger growth allocation budget" `Quick
+      test_audit_growth_alloc;
   ]
