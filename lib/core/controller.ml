@@ -1,6 +1,8 @@
 module Engine = Opennf_sim.Engine
 module Proc = Opennf_sim.Proc
 module Faults = Opennf_sim.Faults
+(* Request and barrier ids are dense ints: each is its own hash. *)
+module Int_table = Hashtbl.Make (struct include Int let hash = Fun.id end)
 module Protocol = Opennf_sb.Protocol
 module Runtime = Opennf_sb.Runtime
 open Opennf_net
@@ -115,8 +117,8 @@ and t = {
   to_switch : Switch.to_switch Channel.t;
   inbox : (inbound * int) Proc.Mailbox.t;  (* message, wire size *)
   nfs : (string, nf) Hashtbl.t;
-  pending : (int, pending) Hashtbl.t;
-  barriers : (int, unit Proc.Ivar.t) Hashtbl.t;
+  pending : pending Int_table.t;
+  barriers : unit Proc.Ivar.t Int_table.t;
   event_subs : (int, event_sub) Opennf_util.Omap.t;
   pkt_in_subs : (int, pkt_in_sub) Opennf_util.Omap.t;
   route_cookies : int Filter.Table.t;
@@ -235,7 +237,7 @@ let iter_subs subs f = Opennf_util.Omap.iter_asc (fun _ sub -> f sub) subs
 let rec dispatch_reply t (reply : Protocol.reply) =
   match reply with
   | Protocol.Piece { req; flowid; chunk } -> (
-    match Hashtbl.find_opt t.pending req with
+    match Int_table.find_opt t.pending req with
     | Some (Get g) ->
       (* A retried or duplicated streaming get may replay a piece;
          idempotent request ids mean replays are ignored. *)
@@ -247,16 +249,16 @@ let rec dispatch_reply t (reply : Protocol.reply) =
       else Opennf_obs.Metrics.incr t.m_dup_pieces
     | Some (Write _) | None -> ())
   | Protocol.Done { req; chunks } -> (
-    match Hashtbl.find_opt t.pending req with
+    match Int_table.find_opt t.pending req with
     | Some (Get g) ->
-      Hashtbl.remove t.pending req;
+      Int_table.remove t.pending req;
       ignore
         (Proc.Ivar.fill_if_empty g.result (Ok (List.rev g.chunks @ chunks)))
     | Some (Write _) | None -> ())
   | Protocol.Ack { req } -> (
-    match Hashtbl.find_opt t.pending req with
+    match Int_table.find_opt t.pending req with
     | Some (Write ivar) ->
-      Hashtbl.remove t.pending req;
+      Int_table.remove t.pending req;
       ignore (Proc.Ivar.fill_if_empty ivar (Ok ()))
     | Some (Get _) | None -> ())
   | Protocol.Event { nf; packet; disposition } ->
@@ -278,9 +280,9 @@ let dispatch t msg =
         if Filter.matches_flow sub.ps_filter packet.Packet.key then
           sub.ps_callback packet)
   | From_switch (Switch.Barrier_reply { id }) -> (
-    match Hashtbl.find_opt t.barriers id with
+    match Int_table.find_opt t.barriers id with
     | Some ivar ->
-      Hashtbl.remove t.barriers id;
+      Int_table.remove t.barriers id;
       Proc.Ivar.fill ivar ()
     | None -> ())
 
@@ -333,8 +335,8 @@ let create engine audit ~switch ?(config = default_config) ?faults ?resilience
       to_switch;
       inbox = Proc.Mailbox.create engine;
       nfs = Hashtbl.create 16;
-      pending = Hashtbl.create 64;
-      barriers = Hashtbl.create 16;
+      pending = Int_table.create 64;
+      barriers = Int_table.create 16;
       event_subs = Opennf_util.Omap.create ~cmp:Int.compare;
       pkt_in_subs = Opennf_util.Omap.create ~cmp:Int.compare;
       route_cookies = Filter.Table.create 64;
@@ -525,13 +527,13 @@ let supervise t nf ~req ~result ~resend r =
         | None ->
           note_deadline_miss t nf r;
           if not nf.live then begin
-            Hashtbl.remove t.pending req;
+            Int_table.remove t.pending req;
             ignore
               (Proc.Ivar.fill_if_empty result
                  (Error (Op_error.Nf_crashed { nf = nf.nf_name })))
           end
           else if n >= r.max_retries then begin
-            Hashtbl.remove t.pending req;
+            Int_table.remove t.pending req;
             ignore
               (Proc.Ivar.fill_if_empty result
                  (Error
@@ -573,10 +575,10 @@ let start_call t nf ~req ~request ~pending_entry ~result =
   (* Request ids come from one shared counter, so two in-flight calls can
      never share a pending slot; a collision here means an id was reused
      and replies would be mis-routed — fail loudly instead. *)
-  if Hashtbl.mem t.pending req then
+  if Int_table.mem t.pending req then
     invalid_arg
       (Printf.sprintf "Controller: duplicate in-flight request id %d" req);
-  Hashtbl.replace t.pending req pending_entry;
+  Int_table.replace t.pending req pending_entry;
   send_request t nf request;
   match t.resilience with
   | None -> ()
@@ -820,7 +822,7 @@ let barrier t =
   let id = t.next_barrier in
   t.next_barrier <- t.next_barrier + 1;
   let ivar = Proc.Ivar.create t.engine in
-  Hashtbl.replace t.barriers id ivar;
+  Int_table.replace t.barriers id ivar;
   Channel.send t.to_switch ~size:128 (Switch.Barrier { id });
   Proc.Ivar.read ivar
 

@@ -84,21 +84,23 @@ let compare a b =
     b.tcp_flag
   <?> fun () -> compare_opt String.compare a.app b.app
 
+(* Field codes are ints, widened where they are mixed, so the int64
+   chain stays unboxed once [combine] is inlined. *)
 let hash t =
   let open Opennf_util.Hashing in
-  let prefix64 = function
-    | None -> -1L
+  let prefix = function
+    | None -> -1
     | Some p ->
-      Int64.of_int
-        ((Ipaddr.to_int (Ipaddr.Prefix.network p) lsl 6)
-        lor Ipaddr.Prefix.bits p)
+      (Ipaddr.to_int (Ipaddr.Prefix.network p) lsl 6) lor Ipaddr.Prefix.bits p
   in
-  let int64_of_opt f = function None -> -1L | Some x -> Int64.of_int (f x) in
-  let h = combine (prefix64 t.src) (prefix64 t.dst) in
-  let h = combine h (int64_of_opt Flow.proto_rank t.proto) in
-  let h = combine h (int64_of_opt Fun.id t.src_port) in
-  let h = combine h (int64_of_opt Fun.id t.dst_port) in
-  let h = combine h (int64_of_opt flag_rank t.tcp_flag) in
+  let port = function None -> -1 | Some x -> x in
+  let h = combine (Int64.of_int (prefix t.src)) (Int64.of_int (prefix t.dst)) in
+  let proto = match t.proto with None -> -1 | Some p -> Flow.proto_rank p in
+  let h = combine h (Int64.of_int proto) in
+  let h = combine h (Int64.of_int (port t.src_port)) in
+  let h = combine h (Int64.of_int (port t.dst_port)) in
+  let flag = match t.tcp_flag with None -> -1 | Some f -> flag_rank f in
+  let h = combine h (Int64.of_int flag) in
   let h = combine h (match t.app with None -> 0L | Some a -> fnv1a64 a) in
   Int64.to_int h land max_int
 

@@ -20,11 +20,14 @@ let template =
 
 let chunk_for t key =
   let n = t.chunk_bytes in
-  let seed = Flow.hash key in
-  let rng = Opennf_util.Rng.create ~seed in
-  String.init n (fun i ->
-      if i < String.length template then template.[i]
-      else Char.chr (Opennf_util.Rng.int rng 256))
+  let rng = Opennf_util.Rng.create ~seed:(Flow.hash key) in
+  let b = Bytes.create n in
+  let m = min n (String.length template) in
+  Bytes.blit_string template 0 b 0 m;
+  for i = m to n - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (Opennf_util.Rng.int rng 256))
+  done;
+  Bytes.unsafe_to_string b
 
 let add t k = ignore (Store.Perflow_arena.insert t.flows k)
 let seed_flows t keys = List.iter (add t) keys

@@ -9,7 +9,8 @@ type t = {
   name : string;
   impl : Nf_api.impl;
   costs : Costs.t;
-  faults : Opennf_sim.Faults.t option;
+  fault_node : Opennf_sim.Faults.node option;
+      (** This NF's fault record, resolved once at [create]. *)
   backend : Backend.t option;
   (* Packet path: two queues consumed by one worker; [release_q] (packets
      freed from event buffers) has priority so released packets are
@@ -54,9 +55,9 @@ let bind_shard t shard = t.shard <- shard
 let shard t = t.shard
 
 let alive t =
-  match t.faults with
+  match t.fault_node with
   | None -> true
-  | Some f -> Opennf_sim.Faults.alive f ~node:t.name
+  | Some n -> Opennf_sim.Faults.alive n
 
 let send_raw t reply ~size =
   match t.to_ctrl with
@@ -330,9 +331,7 @@ let disable_events t filter =
   wake_worker t
 
 let control t (req : Protocol.request) =
-  Option.iter
-    (fun f -> Opennf_sim.Faults.note_op f ~node:t.name)
-    t.faults;
+  Option.iter Opennf_sim.Faults.note_op t.fault_node;
   if alive t then
     match req with
     | Protocol.Enable_events { filter; action } ->
@@ -353,7 +352,7 @@ let create engine audit ~name ~impl ~costs ?faults ?backend () =
       name;
       impl;
       costs;
-      faults;
+      fault_node = Option.map (fun f -> Opennf_sim.Faults.node f name) faults;
       backend;
       input_q = Queue.create ();
       release_q = Queue.create ();

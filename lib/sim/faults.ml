@@ -3,6 +3,7 @@ module Rng = Opennf_util.Rng
 type link_profile = { drop : float; dup : float; jitter : float }
 
 type node = {
+  clock : Engine.t;
   mutable crashed_at : float option;  (* Time the crash takes effect. *)
   mutable crash_on_op : int option;  (* Remaining ops before crashing. *)
   mutable hangs : (float * float) list;  (* Unresponsive windows. *)
@@ -36,7 +37,10 @@ let set_link t ~name ?(drop = 0.0) ?(dup = 0.0) ?(jitter = 0.0) () =
 let clear_link t ~name = Hashtbl.remove t.links name
 
 let plan t ~link =
-  match Hashtbl.find_opt t.links link with
+  let profile =
+    if Hashtbl.length t.links = 0 then None else Hashtbl.find_opt t.links link
+  in
+  match profile with
   | None -> (1, 0.0)
   | Some p ->
     let copies =
@@ -58,11 +62,16 @@ let duplicated_count t = t.duplicated
 
 (* --- nodes --------------------------------------------------------------- *)
 
+(* One record per name, created on first use and never replaced, so a
+   handle resolved early sees every fault registered on its name later. *)
 let node t name =
   match Hashtbl.find_opt t.nodes name with
   | Some n -> n
   | None ->
-    let n = { crashed_at = None; crash_on_op = None; hangs = []; ops = 0 } in
+    let n =
+      { clock = t.engine; crashed_at = None; crash_on_op = None; hangs = [];
+        ops = 0 }
+    in
     Hashtbl.add t.nodes name n;
     n
 
@@ -83,35 +92,25 @@ let hang t ~node:name ~from_ ~until =
   let n = node t name in
   n.hangs <- (from_, until) :: n.hangs
 
-let note_op t ~node:name =
-  let n = node t name in
+let note_op n =
   n.ops <- n.ops + 1;
   match n.crash_on_op with
   | Some nth when n.ops >= nth && n.crashed_at = None ->
     n.crash_on_op <- None;
-    n.crashed_at <- Some (Engine.now t.engine)
+    n.crashed_at <- Some (Engine.now n.clock)
   | Some _ | None -> ()
 
-let crashed t ~node:name =
-  match Hashtbl.find_opt t.nodes name with
-  | None -> false
-  | Some n -> (
-    match n.crashed_at with
-    | Some at -> at <= Engine.now t.engine
-    | None -> false)
-
-let alive t ~node:name =
-  match Hashtbl.find_opt t.nodes name with
-  | None -> true
-  | Some n ->
-    let now = Engine.now t.engine in
-    (match n.crashed_at with Some at -> at > now | None -> true)
-    && not (List.exists (fun (f, u) -> f <= now && now < u) n.hangs)
+let alive n =
+  let now = Engine.now n.clock in
+  (match n.crashed_at with Some at -> at > now | None -> true)
+  &&
+  match n.hangs with
+  | [] -> true
+  | hangs -> not (List.exists (fun (f, u) -> f <= now && now < u) hangs)
 
 let crash_time t ~node:name =
   match Hashtbl.find_opt t.nodes name with
-  | None -> None
-  | Some n -> (
-    match n.crashed_at with
-    | Some at when at <= Engine.now t.engine -> Some at
-    | Some _ | None -> None)
+  | Some { crashed_at = Some at; _ } when at <= Engine.now t.engine -> Some at
+  | Some _ | None -> None
+
+let crashed t ~node:name = Option.is_some (crash_time t ~node:name)

@@ -2,8 +2,9 @@
 
     One [Faults.t] per engine describes which links misbehave and which
     nodes (NF instances) crash or hang. Channels consult {!plan} per
-    message; NF runtimes consult {!alive} before processing or replying
-    and {!note_op} per southbound message. When no [Faults.t] is wired
+    message; NF runtimes resolve their {!node} handle once, then consult
+    {!alive} before processing or replying and {!note_op} per southbound
+    message. When no [Faults.t] is wired
     in — or no profile/fault is registered for a link or node — every
     consultation is a no-op and no randomness is drawn, so fault-free
     runs are bit-identical to runs of a build without this module.
@@ -30,7 +31,8 @@ val clear_link : t -> name:string -> unit
 
 val plan : t -> link:string -> int * float
 (** [plan t ~link] decides one message's fate: [(copies, jitter)] where
-    [copies] is 0 (dropped), 1 or 2, and [jitter] the extra delay. *)
+    [copies] is 0 (dropped), 1 or 2, and [jitter] the extra delay. While
+    no profile is set it is [(1, 0.0)] without a lookup. *)
 
 val dropped_count : t -> int
 val duplicated_count : t -> int
@@ -41,6 +43,13 @@ val duplicated_count : t -> int
     southbound requests and sends no replies. A hung node behaves the
     same within its window and recovers after. *)
 
+type node
+(** A node's fault record. *)
+
+val node : t -> string -> node
+(** The handle for a node name, the same one on every call: faults
+    registered on the name, before or after, act on it. *)
+
 val crash_at : t -> node:string -> float -> unit
 val crash_now : t -> node:string -> unit
 
@@ -50,10 +59,10 @@ val crash_on_nth_op : t -> node:string -> int -> unit
 
 val hang : t -> node:string -> from_:float -> until:float -> unit
 
-val note_op : t -> node:string -> unit
+val note_op : node -> unit
 (** Record a southbound message arrival; may trip {!crash_on_nth_op}. *)
 
-val alive : t -> node:string -> bool
+val alive : node -> bool
 (** False iff the node is crashed or inside a hang window now. *)
 
 val crashed : t -> node:string -> bool

@@ -1,21 +1,19 @@
 module Arena = Opennf_util.Arena
-module Omap = Opennf_util.Omap
 open Opennf_net
 
 (* Deterministic enumeration: results are in key order so simulation
    runs do not depend on hash-table iteration order. Each store pairs a
-   point index (O(1) lookups on the packet path) with an always-sorted
-   mirror ({!Opennf_util.Omap}, O(log n) update), so a scoped
-   enumeration is an in-order walk — never materialize-then-sort on the
-   query path. *)
+   point index (O(1) lookups and writes on the packet path) with an
+   ordered array of its keys that writes only mark stale: the next
+   ordered read sorts once, and reads after it walk the cached array
+   until the key set changes again. *)
 
 (* The per-flow index: canonicalized 5-tuples in {!Opennf_util.Arena}
    rows — the GC never walks them — with the NF's state as typed fields
    of the row payload, addressed by an integer handle. Point lookups go
    through a flat open-addressing index (an int array: no buckets, no
-   cons cells); ordered enumeration walks an {!Opennf_util.Omap} mirror
-   keyed by handles, whose comparator reads the 5-tuple straight out of
-   the row bytes. *)
+   cons cells); ordered reads walk [order], the live handles sorted by
+   two ints packed from each row's key. *)
 module Perflow_arena = struct
   (* Row layout: canonical key at offset 0, payload at {!payload_off}.
      13 key bytes, then padding so NF payload layouts start 8-aligned. *)
@@ -35,28 +33,11 @@ module Perflow_arena = struct
     mutable mask : int;
     mutable count : int;
     mutable tombs : int;
-    mirror : (Arena.handle, unit) Omap.t;
+    mutable order : int array option;
+        (* Live handles in ascending key order; [None] once stale. *)
   }
 
   let min_slots = 64
-
-  (* Same field order as [Flow.compare], read from row bytes. *)
-  let cmp_rows arena a b =
-    let c = Int.compare (Arena.get_u32 arena a 0) (Arena.get_u32 arena b 0) in
-    if c <> 0 then c
-    else
-      let c = Int.compare (Arena.get_u32 arena a 4) (Arena.get_u32 arena b 4) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (Arena.get_u8 arena a 8) (Arena.get_u8 arena b 8) in
-        if c <> 0 then c
-        else
-          let c =
-            Int.compare (Arena.get_u16 arena a 9) (Arena.get_u16 arena b 9)
-          in
-          if c <> 0 then c
-          else
-            Int.compare (Arena.get_u16 arena a 11) (Arena.get_u16 arena b 11)
 
   let create ~payload () =
     if payload < 0 then invalid_arg "Perflow_arena.create: negative payload";
@@ -67,7 +48,7 @@ module Perflow_arena = struct
       mask = min_slots - 1;
       count = 0;
       tombs = 0;
-      mirror = Omap.create ~cmp:(cmp_rows arena);
+      order = None;
     }
 
   let arena t = t.arena
@@ -193,7 +174,7 @@ module Perflow_arena = struct
       if t.idx.(!free) = -1 then t.tombs <- t.tombs - 1;
       t.idx.(!free) <- h;
       t.count <- t.count + 1;
-      Omap.set t.mirror h ();
+      t.order <- None;
       (* Keep (live + tombstones) at or below half the slots. *)
       if 2 * (t.count + t.tombs) > t.mask + 1 then begin
         let slots = ref (t.mask + 1) in
@@ -215,32 +196,55 @@ module Perflow_arena = struct
     in
     if s = -1 then false
     else begin
-      let h = t.idx.(s) in
-      (* Mirror removal must precede the free: its comparator reads the
-         row bytes, which the free invalidates. *)
-      Omap.remove t.mirror h;
-      Arena.free t.arena h;
+      Arena.free t.arena t.idx.(s);
       t.idx.(s) <- -1;
       t.count <- t.count - 1;
       t.tombs <- t.tombs + 1;
+      t.order <- None;
       true
     end
 
-  (* Handles in ascending key order (the mirror's order). *)
-  let iter_ordered t f = Omap.fold_asc (fun h () () -> f h) t.mirror ()
-  let fold_ordered t ~init ~f = Omap.fold_asc (fun h () acc -> f h acc) t.mirror init
+  (* Live handles sorted by two ints per row whose lexicographic order
+     is [Flow.compare] on the canonical key: src and the top 30 bits of
+     dst, then dst's low 2 bits, protocol rank and both ports. *)
+  let ordered t =
+    match t.order with
+    | Some o -> o
+    | None ->
+      let a = t.arena and n = ref 0 in
+      let hs = Array.make t.count 0 and ks = Array.make (2 * t.count) 0 in
+      Arena.iter_live a (fun h ->
+          let i = !n and dst = Arena.get_u32 a h 4 in
+          hs.(i) <- h;
+          ks.(2 * i) <- (Arena.get_u32 a h 0 lsl 30) lor (dst lsr 2);
+          ks.((2 * i) + 1) <-
+            ((dst land 3) lsl 40) lor (Arena.get_u8 a h 8 lsl 32)
+            lor (Arena.get_u16 a h 9 lsl 16) lor Arena.get_u16 a h 11;
+          n := i + 1);
+      let cmp x y =
+        let c = Int.compare ks.(2 * x) ks.(2 * y) in
+        if c <> 0 then c else Int.compare ks.((2 * x) + 1) ks.((2 * y) + 1)
+      in
+      let perm = Array.init t.count Fun.id in
+      Array.stable_sort cmp perm;
+      let o = Array.map (Array.get hs) perm in
+      t.order <- Some o;
+      o
 
-  let matching t filter =
+  (* Matching entries ascending, each row as [(key, v handle)]. *)
+  let matching_map t filter v =
     match Filter.exact_key filter with
     | Some key ->
       let h = find t key in
-      if h = Arena.null then [] else [ (key_of t h, h) ]
+      if h = Arena.null then [] else [ (key_of t h, v h) ]
     | None ->
-      Omap.fold_desc
-        (fun h () acc ->
+      Array.fold_right
+        (fun h acc ->
           let k = key_of t h in
-          if Filter.matches_flow filter k then (k, h) :: acc else acc)
-        t.mirror []
+          if Filter.matches_flow filter k then (k, v h) :: acc else acc)
+        (ordered t) []
+
+  let matching t filter = matching_map t filter Fun.id
 end
 
 (* Boxed values over the one per-flow index: a payload-free
@@ -279,33 +283,43 @@ module Perflow = struct
 
   let mem t k = Perflow_arena.mem t.rows k
 
-  let matching t filter =
-    List.map (fun (k, h) -> (k, value t h)) (Perflow_arena.matching t.rows filter)
+  let matching t filter = Perflow_arena.matching_map t.rows filter (value t)
 
   let fold t ~init ~f =
-    Perflow_arena.fold_ordered t.rows ~init ~f:(fun h acc ->
-        f (Perflow_arena.key_of t.rows h) (value t h) acc)
+    Array.fold_left
+      (fun acc h -> f (Perflow_arena.key_of t.rows h) (value t h) acc)
+      init (Perflow_arena.ordered t.rows)
 
   let size t = Perflow_arena.size t.rows
 end
 
+(* A store's cached key [order] if still valid, else its table's keys
+   sorted afresh. *)
+let sorted_keys order fold table cmp =
+  match order with
+  | Some o -> o
+  | None ->
+    let a = Array.of_list (fold (fun k _ acc -> k :: acc) table []) in
+    Array.sort cmp a;
+    a
+
 module Per_host = struct
   module H = Hashtbl.Make (Ipaddr)
 
-  type 'a t = { table : 'a H.t; sorted : (Ipaddr.t, 'a) Omap.t }
+  (* [order]: the hosts ascending, [None] once a host was added or
+     removed; overwriting a host's value keeps it. *)
+  type 'a t = { table : 'a H.t; mutable order : Ipaddr.t array option }
 
-  let create () =
-    { table = H.create 64; sorted = Omap.create ~cmp:Ipaddr.compare }
-
+  let create () = { table = H.create 64; order = None }
   let find t ip = H.find_opt t.table ip
 
   let set t ip v =
-    H.replace t.table ip v;
-    Omap.set t.sorted ip v
+    if Option.is_some t.order && not (H.mem t.table ip) then t.order <- None;
+    H.replace t.table ip v
 
   let remove t ip =
-    H.remove t.table ip;
-    Omap.remove t.sorted ip
+    if H.mem t.table ip then t.order <- None;
+    H.remove t.table ip
 
   let update t ip ~default ~f =
     let current = match find t ip with Some v -> v | None -> default () in
@@ -340,40 +354,46 @@ module Per_host = struct
           else None)
         hosts
     | None ->
-      Omap.fold_desc
-        (fun ip v acc ->
-          if Filter.matches_host filter ip then (ip, v) :: acc else acc)
-        t.sorted []
+      let order = sorted_keys t.order H.fold t.table Ipaddr.compare in
+      t.order <- Some order;
+      Array.fold_right
+        (fun ip acc ->
+          if Filter.matches_host filter ip then (ip, H.find t.table ip) :: acc
+          else acc)
+        order []
 
   let fold t ~init ~f = H.fold (fun k v acc -> f k v acc) t.table init
   let size t = H.length t.table
 end
 
 module Keyed = struct
+  (* [order] as in {!Per_host}, under the polymorphic key order. *)
   type ('k, 'a) t = {
     table : ('k, 'a) Hashtbl.t;
     relevant : Filter.t -> 'k -> 'a -> bool;
-    sorted : ('k, 'a) Omap.t;
+    mutable order : 'k array option;
   }
 
-  (* Enumeration follows the polymorphic key ordering. *)
-  let create ~relevant () =
-    { table = Hashtbl.create 64; relevant; sorted = Omap.create ~cmp:Stdlib.compare }
-
+  let create ~relevant () = { table = Hashtbl.create 64; relevant; order = None }
   let find t k = Hashtbl.find_opt t.table k
 
   let set t k v =
-    Hashtbl.replace t.table k v;
-    Omap.set t.sorted k v
+    if Option.is_some t.order && not (Hashtbl.mem t.table k) then
+      t.order <- None;
+    Hashtbl.replace t.table k v
 
   let remove t k =
-    Hashtbl.remove t.table k;
-    Omap.remove t.sorted k
+    if Hashtbl.mem t.table k then t.order <- None;
+    Hashtbl.remove t.table k
 
   let matching t filter =
-    Omap.fold_desc
-      (fun k v acc -> if t.relevant filter k v then (k, v) :: acc else acc)
-      t.sorted []
+    let order = sorted_keys t.order Hashtbl.fold t.table Stdlib.compare in
+    t.order <- Some order;
+    Array.fold_right
+      (fun k acc ->
+        let v = Hashtbl.find t.table k in
+        if t.relevant filter k v then (k, v) :: acc else acc)
+      order []
 
   let fold t ~init ~f = Hashtbl.fold (fun k v acc -> f k v acc) t.table init
   let size t = Hashtbl.length t.table

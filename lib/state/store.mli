@@ -1,7 +1,8 @@
 (** Keyed in-memory stores NFs build their state on.
 
-    Each pairs a point index with an always-sorted mirror and answers
-    filter-aware enumeration, so that NF implementations of [get*] can
+    Each pairs a point index with an ordered array of its keys that
+    writes only mark stale and the next ordered read re-sorts, and
+    answers filter-aware enumeration, so that NF implementations of [get*] can
     answer "all state pertaining to flows matching this filter" without
     bespoke lookup code. Per-flow state has one index,
     {!Perflow_arena}; {!Perflow} is a column of arbitrary OCaml values
@@ -42,8 +43,9 @@ module Perflow_arena : sig
       the resident state — the marking cost of a million live flows is
       a thousand byte slabs, not millions of boxed records. Point
       lookups probe a flat open-addressing int array; ordered
-      enumeration walks an {!Opennf_util.Omap} mirror whose comparator
-      reads 5-tuples straight out of the row bytes. *)
+      enumeration walks an array of handles sorted by keys packed from
+      the row bytes, re-sorted by the first ordered read after an
+      insert or remove. *)
 
   val key_size : int
   (** Bytes of each row holding the canonical key (13). *)
@@ -82,14 +84,9 @@ module Perflow_arena : sig
   val matching : t -> Filter.t -> (Flow.key * Opennf_util.Arena.handle) list
   (** Entries whose connection matches the filter (either direction),
       ascending key order. Exact 5-tuple filters are a single probe;
-      anything else, host- and prefix-scoped filters included, is an
-      in-order walk of the sorted mirror. *)
+      anything else, host- and prefix-scoped filters included, is a
+      walk of the ordered array. *)
 
-  val iter_ordered : t -> (Opennf_util.Arena.handle -> unit) -> unit
-  (** Live handles in ascending key order. *)
-
-  val fold_ordered :
-    t -> init:'b -> f:(Opennf_util.Arena.handle -> 'b -> 'b) -> 'b
 
   val size : t -> int
 end
@@ -108,8 +105,8 @@ module Per_host : sig
       ([Filter.matches_host]), in ascending address order.
 
       Indexed: filters whose address constraints all pin single hosts
-      are answered by hash probes; anything else is an in-order walk of
-      the sorted mirror (never a per-call sort). *)
+      are answered by hash probes; anything else walks the ordered
+      array, sorted again only after a host was added or removed. *)
 
   val fold : 'a t -> init:'b -> f:(Ipaddr.t -> 'a -> 'b -> 'b) -> 'b
   val size : 'a t -> int
@@ -127,8 +124,9 @@ module Keyed : sig
   val remove : ('k, 'a) t -> 'k -> unit
 
   val matching : ('k, 'a) t -> Filter.t -> ('k * 'a) list
-  (** Relevant entries in ascending polymorphic key order — an in-order
-      walk of the sorted mirror, never a per-call sort. *)
+  (** Relevant entries in ascending polymorphic key order — a walk of
+      the ordered array, sorted again only after a key was added or
+      removed. *)
 
   val fold : ('k, 'a) t -> init:'b -> f:('k -> 'a -> 'b -> 'b) -> 'b
   val size : ('k, 'a) t -> int

@@ -11,7 +11,7 @@ let fnv1a64_sub s ~pos ~len =
 
 let fnv1a64 s = fnv1a64_sub s ~pos:0 ~len:(String.length s)
 
-let combine a b =
+let[@inline] combine a b =
   let h = Int64.logxor a (Int64.add b 0x9E3779B97F4A7C15L) in
   Int64.mul (Int64.logxor h (Int64.shift_right_logical h 29)) fnv_prime
 

@@ -1,24 +1,27 @@
-type t = { mutable state : int64 }
+(* splitmix64 with its state unboxed in 8 bytes: each draw inlines the
+   step, so drawing an int or a bool allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let[@inline] bits64 t =
+  let open Int64 in
+  let z = add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  logxor z (shift_right_logical z 31)
 
-let split t =
-  let seed = Int64.to_int (bits64 t) in
-  { state = Int64.of_int seed }
+let split t = create ~seed:(Int64.to_int (bits64 t))
 
 let int t n =
   assert (n > 0);
-  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-  v mod n
+  Int64.to_int (Int64.shift_right_logical (bits64 t) 2) mod n
 
 let float t x =
   (* 53 random bits mapped to [0, 1). *)

@@ -388,6 +388,77 @@ let test_duplicated_pieces_are_deduped () =
   Alcotest.(check int) "dup=1.0: every message duplicated"
     (List.length clean + 1) injected
 
+(* --- faults registered after the fabric exists ----------------------- *)
+
+(* Each NF runtime resolves its fault record once, at creation, and
+   channels consult the link table per message; faults registered after
+   both exist must still act. [processed_samples] reads prads1's
+   processed count at each instant in [samples] and once more when the
+   run has drained, running [op] (if any) at t = 1.0. *)
+let processed_samples tb ?op samples =
+  let seen =
+    List.map
+      (fun at ->
+        let r = ref (-1) in
+        Engine.schedule_at tb.H.fab.Fabric.engine at (fun () ->
+            r := Opennf_sb.Runtime.processed_count tb.H.rt1);
+        r)
+      samples
+  in
+  let result = ref None in
+  (match op with
+  | None -> Fabric.run tb.H.fab
+  | Some op -> H.run_with tb ~at:1.0 (fun () -> result := Some (op ())));
+  (List.map ( ! ) seen @ [ Opennf_sb.Runtime.processed_count tb.H.rt1 ], !result)
+
+let test_node_faults_registered_late () =
+  let tb = H.prads_pair ~flows:10 ~rate:500.0 ~resilience () in
+  Faults.crash_at tb.H.fab.Fabric.faults ~node:"prads1" 1.0;
+  (match processed_samples tb [ 0.5; 1.01 ] with
+  | [ before; at_crash; final ], _ ->
+    Alcotest.(check bool) "processing before the crash" true (0 < before && before < at_crash);
+    Alcotest.(check int) "nothing processed after the crash" at_crash final
+  | _ -> assert false);
+  let tb = H.prads_pair ~flows:10 ~rate:500.0 ~resilience () in
+  Faults.hang tb.H.fab.Fabric.faults ~node:"prads1" ~from_:0.8 ~until:1.2;
+  (match processed_samples tb [ 0.81; 1.19 ] with
+  | [ start; end_; final ], _ ->
+    Alcotest.(check int) "nothing processed inside the hang" start end_;
+    Alcotest.(check bool) "processing resumes after the hang" true (final > end_)
+  | _ -> assert false);
+  let tb = H.prads_pair ~flows:10 ~rate:500.0 ~resilience () in
+  Faults.crash_on_nth_op tb.H.fab.Fabric.faults ~node:"prads1" 1;
+  let get () =
+    Controller.get tb.H.fab.Fabric.ctrl tb.H.nf1 ~scope:Opennf_state.Scope.Per Filter.any
+  in
+  match processed_samples tb ~op:get [ 0.99; 1.1 ] with
+  | [ before; after_op; final ], Some (Error _) ->
+    Alcotest.(check bool) "processing before the op" true (before > 0);
+    Alcotest.(check int) "the first southbound op crashed the node" after_op final;
+    Alcotest.(check bool) "node reported crashed" true
+      (Faults.crashed tb.H.fab.Fabric.faults ~node:"prads1")
+  | _, Some (Ok _) -> Alcotest.fail "a get to a node crashed by its op must fail"
+  | _ -> assert false
+
+let test_link_profile_registered_late () =
+  let engine = Engine.create () in
+  let f = Faults.create engine () in
+  let ch = Channel.create engine ~latency:0.001 ~faults:f ~name:"l" () in
+  let got = ref 0 in
+  Channel.set_handler ch (fun () -> incr got);
+  Channel.send ch ();
+  Faults.set_link f ~name:"l" ~dup:1.0 ();
+  Channel.send ch ();
+  Faults.set_link f ~name:"l" ~drop:1.0 ();
+  Channel.send ch ();
+  Faults.clear_link f ~name:"l";
+  Channel.send ch ();
+  Engine.run engine;
+  Alcotest.(check int) "1 + 2 (dup) + 0 (drop) + 1 deliveries" 4 !got;
+  Alcotest.(check int) "one drop" 1 (Channel.dropped_count ch);
+  Alcotest.(check (pair int int)) "fault counters" (1, 1)
+    (Faults.dropped_count f, Faults.duplicated_count f)
+
 let suite =
   [
     Alcotest.test_case "ivar read_timeout" `Quick test_read_timeout;
@@ -424,3 +495,9 @@ let suite =
         prop_loss_free_under_link_faults;
         prop_order_preserving_under_link_faults;
       ]
+  @ [
+      Alcotest.test_case "node faults registered after the runtime" `Quick
+        test_node_faults_registered_late;
+      Alcotest.test_case "link profile registered after the channel" `Quick
+        test_link_profile_registered_late;
+    ]

@@ -378,6 +378,36 @@ let test_switch_packet_out_rate_limit () =
     Alcotest.(check (float 1e-9)) "fifth" 0.05 t5
   | _ -> Alcotest.fail "expected 5 deliveries"
 
+(* [Flow.hash] and [Filter.hash] are pinned: [Flow.Table] iteration
+   order (which [Move.flush_all] follows) and the Dummy NF's chunk bytes
+   are functions of them. *)
+let test_hash_pinned () =
+  let k1 = Flow.make ~src:(ip 10 0 0 1) ~dst:(ip 10 0 0 2) ~sport:1234 ~dport:80 () in
+  let k2 =
+    Flow.make ~src:(ip 192 168 7 9) ~dst:(ip 8 8 8 8) ~proto:Flow.Udp ~sport:5353
+      ~dport:53 ()
+  in
+  let k3 =
+    Flow.make ~src:(ip 255 255 255 255) ~dst:(ip 0 0 0 0) ~proto:Flow.Icmp ~sport:0
+      ~dport:65535 ()
+  in
+  Alcotest.(check (list int)) "Flow.hash"
+    [ 4379680373440262083; 82256094069264595; 2599731874729852322 ]
+    (List.map Flow.hash [ k1; k2; k3 ]);
+  Alcotest.(check (list int)) "Filter.hash"
+    [
+      3479462002462992362; 1784587478056428041; 4149032728902989584;
+      4378670952201587583; 3102795555730216210;
+    ]
+    (List.map Filter.hash
+       [
+         Filter.any;
+         Filter.of_key k1;
+         Filter.of_src_prefix (Ipaddr.Prefix.make (ip 10 1 0 0) 16);
+         Filter.make ~proto:Flow.Udp ~dst_port:53 ();
+         Filter.make ~dst:(Ipaddr.Prefix.host (ip 8 8 8 8)) ~app:"http" ();
+       ])
+
 let suite =
   [
     Alcotest.test_case "ipaddr: string roundtrip" `Quick test_ip_string_roundtrip;
@@ -423,4 +453,6 @@ let suite =
       test_switch_barrier_after_mods;
     Alcotest.test_case "switch: packet-out rate limit" `Quick
       test_switch_packet_out_rate_limit;
+      Alcotest.test_case "hash: Flow.hash/Filter.hash pinned" `Quick
+      test_hash_pinned;
   ]

@@ -516,6 +516,34 @@ let test_dummy_seed_and_export () =
       | None -> Alcotest.fail "export failed")
     flowids
 
+(* One canned chunk pinned byte for byte (through its FNV-1a digest and
+   its random tail): the template prefix, then bytes drawn from an
+   [Rng] seeded with the flow's hash. A chunk shorter than the template
+   is a prefix of it. *)
+let test_dummy_chunk_pinned () =
+  let export ~chunk_bytes k =
+    let d = Opennf_nfs.Dummy.create ~chunk_bytes () in
+    Opennf_nfs.Dummy.seed_flows d [ k ];
+    match (Opennf_nfs.Dummy.impl d).Nf_api.export_perflow (Filter.of_key k) with
+    | Some c -> c.Chunk.data
+    | None -> Alcotest.fail "seeded flow must export"
+  in
+  let k =
+    Flow.make ~src:(ip 192 168 7 9) ~dst:(ip 8 8 8 8) ~proto:Flow.Udp ~sport:5353
+      ~dport:53 ()
+  in
+  let data = export ~chunk_bytes:202 k in
+  Alcotest.(check int) "length" 202 (String.length data);
+  Alcotest.(check int64) "digest" 0xc299e5acbe98e776L
+    (Opennf_util.Hashing.fnv1a64 data);
+  Alcotest.(check string) "random tail starts"
+    "\204X\135G\242(<\204/\221\208\146"
+    (String.sub data 100 12);
+  Alcotest.(check string) "short chunk is a template prefix"
+    "prads.conn{src_ip;dst_ip;proto:tcp;first"
+    (export ~chunk_bytes:40
+       (Flow.make ~src:(ip 10 0 0 1) ~dst:(ip 10 0 0 2) ~sport:1234 ~dport:80 ()))
+
 let suite =
   [
     Alcotest.test_case "ids: scan detection" `Quick test_ids_scan_detection;
@@ -562,4 +590,5 @@ let suite =
     Alcotest.test_case "re: desync on reorder" `Quick test_re_desync_on_reorder;
     Alcotest.test_case "re: store transfer heals" `Quick test_re_store_transfer_heals;
     Alcotest.test_case "dummy: seed & export" `Quick test_dummy_seed_and_export;
+      Alcotest.test_case "dummy: chunk bytes pinned" `Quick test_dummy_chunk_pinned;
   ]

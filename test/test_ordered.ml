@@ -1,11 +1,12 @@
-(* Ordered-store equivalence (ISSUE 4): the always-sorted mirrors that
-   replaced materialize-then-sort enumeration must be observationally
-   identical — same keys, same order, same values — to the
-   fold-and-sort references in [Opennf_oracle], under arbitrary insert/remove/get
-   interleavings. Plus allocation-budget regressions for the
-   getPerflow fast path: the point of the ordered stores and scratch
-   buffers is that a scoped get neither sorts nor churns the minor
-   heap, and a budget test keeps that true. *)
+(* Ordered-store equivalence: each store's cached key order (sorted on
+   the first ordered read after a write added or removed a key) must be
+   observationally identical — same keys, same order, same values — to
+   the fold-and-sort references in [Opennf_oracle] under arbitrary
+   insert/remove/get interleavings, and to independent [Map] models
+   checked after every single write, which catch an order left stale.
+   Plus allocation-budget regressions for the getPerflow fast path: an
+   exact-key get neither walks nor churns the minor heap, and a budget
+   test keeps that true. *)
 
 module Omap = Opennf_util.Omap
 module IntMap = Map.Make (Int)
@@ -221,6 +222,124 @@ let omap_oracle =
       && Omap.fold_asc (fun k v acc -> (k, v) :: acc) om []
          = List.rev (IntMap.bindings !oracle))
 
+(* --- stale order: a model check after every op ------------------------ *)
+
+(* Writes only mark a store's ordered array stale; the next ordered read
+   re-sorts. The equivalence properties above compare against oracles
+   built from each store's own [fold], which for [Perflow] walks the
+   same array, so they cannot see a stale one. These compare [matching]
+   (exact, host, prefix and unconstrained filters) and [fold] against an
+   independent [Map] after every set, overwrite and remove. *)
+module IpMap = Map.Make (Ipaddr)
+
+let churn_arb =
+  QCheck.(list_of_size (Gen.int_range 1 200) (triple small_nat small_nat small_nat))
+
+(* The [n]th binding of a non-empty model, to overwrite a present key. *)
+let nth_key bindings n = fst (List.nth bindings (n mod List.length bindings))
+
+let agree_after name got want =
+  got = want || QCheck.Test.fail_reportf "%s diverged from the model" name
+
+let per_host_stale =
+  QCheck.Test.make ~name:"per-host: matching and fold == Map model after every op"
+    ~count:60 churn_arb (fun ops ->
+      let store = Store.Per_host.create () in
+      let model = ref IpMap.empty in
+      List.for_all
+        (fun (c, a, b) ->
+          let k =
+            match (c mod 4, IpMap.bindings !model) with
+            | 1, (_ :: _ as l) -> nth_key l a (* overwrite a present host *)
+            | _ -> ip a b
+          in
+          if c mod 4 = 2 then begin
+            Store.Per_host.remove store k;
+            model := IpMap.remove k !model
+          end
+          else begin
+            Store.Per_host.set store k c;
+            model := IpMap.add k c !model
+          end;
+          List.for_all
+            (fun f ->
+              agree_after (Filter.to_string f)
+                (Store.Per_host.matching store f)
+                (List.filter (fun (h, _) -> Filter.matches_host f h) (IpMap.bindings !model)))
+            [ Filter.any; filter_of c a b; filter_of (c + 3) b a ]
+          && agree_after "fold"
+               (List.sort compare
+                  (Store.Per_host.fold store ~init:[] ~f:(fun h v acc -> (h, v) :: acc)))
+               (IpMap.bindings !model))
+        ops)
+
+let keyed_stale =
+  QCheck.Test.make ~name:"keyed: matching and fold == Map model after every op"
+    ~count:60 churn_arb (fun ops ->
+      let relevant (f : Filter.t) k _v =
+        match f.Filter.src_port with Some p -> k mod 3 = p mod 3 | None -> true
+      in
+      let store = Store.Keyed.create ~relevant () in
+      let model = ref IntMap.empty in
+      List.for_all
+        (fun (c, a, b) ->
+          let k =
+            match (c mod 4, IntMap.bindings !model) with
+            | 1, (_ :: _ as l) -> nth_key l a
+            | _ -> a land 31
+          in
+          if c mod 4 = 2 then begin
+            Store.Keyed.remove store k;
+            model := IntMap.remove k !model
+          end
+          else begin
+            Store.Keyed.set store k (b + c);
+            model := IntMap.add k (b + c) !model
+          end;
+          List.for_all
+            (fun f ->
+              agree_after (Filter.to_string f) (Store.Keyed.matching store f)
+                (List.filter (fun (k, v) -> relevant f k v) (IntMap.bindings !model)))
+            [ Filter.any; Filter.make ~src_port:(1000 + (b land 3)) () ]
+          && agree_after "fold"
+               (List.sort compare
+                  (Store.Keyed.fold store ~init:[] ~f:(fun k v acc -> (k, v) :: acc)))
+               (IntMap.bindings !model))
+        ops)
+
+let perflow_stale =
+  QCheck.Test.make ~name:"perflow: matching and fold == Flow.Map model after every op"
+    ~count:60 churn_arb (fun ops ->
+      let store = Store.Perflow.create () in
+      let model = ref Flow.Map.empty in
+      List.for_all
+        (fun (c, a, b) ->
+          let k =
+            match (c mod 4, Flow.Map.bindings !model) with
+            | 1, (_ :: _ as l) -> Flow.reverse (nth_key l a)
+            | _ -> key a b
+          in
+          if c mod 4 = 2 then begin
+            Store.Perflow.remove store k;
+            model := Flow.Map.remove (Flow.canonical k) !model
+          end
+          else begin
+            Store.Perflow.set store k c;
+            model := Flow.Map.add (Flow.canonical k) c !model
+          end;
+          List.for_all
+            (fun f ->
+              agree_after (Filter.to_string f) (Store.Perflow.matching store f)
+                (List.filter
+                   (fun (k, _) -> Filter.matches_flow f k)
+                   (Flow.Map.bindings !model)))
+            [ Filter.any; filter_of c a b; filter_of (c + 3) b a ]
+          && agree_after "fold"
+               (List.rev
+                  (Store.Perflow.fold store ~init:[] ~f:(fun k v acc -> (k, v) :: acc)))
+               (Flow.Map.bindings !model))
+        ops)
+
 (* --- allocation budgets ------------------------------------------------ *)
 
 let minor_words_per ~iters f =
@@ -299,3 +418,4 @@ let suite =
       Alcotest.test_case "alloc budget: NF getPerflow path" `Quick
         test_get_perflow_alloc_budget;
     ]
+  @ List.map QCheck_alcotest.to_alcotest [ per_host_stale; keyed_stale; perflow_stale ]

@@ -236,6 +236,38 @@ let bytes_io_int_prop =
       Bytes_io.Reader.int (Bytes_io.Reader.of_string (Bytes_io.Writer.contents w))
       = i)
 
+(* Golden draws: the generator's state layout may change, its output may
+   not. Every seeded schedule, canned chunk and trace in the repository
+   derives from these streams. Values are the splitmix64 outputs the
+   boxed-[int64] implementation produced. *)
+let test_rng_golden () =
+  let draws seed =
+    let r = Rng.create ~seed in
+    let a = Rng.bits64 r in
+    let b = Rng.bits64 r in
+    let i = Rng.int r 1000 in
+    let f = Rng.float r 1.0 in
+    let bo = Rng.bool r in
+    Printf.sprintf "%016Lx %016Lx %d %h %b" a b i f bo
+  in
+  List.iter
+    (fun (seed, want) ->
+      Alcotest.(check string) (Printf.sprintf "seed %d" seed) want (draws seed))
+    [
+      (0, "e220a8397b1dcdaf 6e789e6aa1b965f4 419 0x1.f1177150e499p-1 true");
+      (1, "910a2dec89025cc1 beeb8da1658eec67 647 0x1.c7061a43b90b2p-2 true");
+      (42, "bdd732262feb6e95 28efe333b266f103 964 0x1.607387fc392b8p-2 false");
+      (-7, "6c1e186443822970 7a87f4dabcf192aa 796 0x1.4675b70f6ed68p-3 true");
+      (max_int, "43df0885536978a6 101018cc4a4cadfd 872 0x1.baccbdfb945d6p-2 false");
+    ];
+  let r = Rng.create ~seed:5 in
+  let s = Rng.split r in
+  let s1 = Rng.bits64 s in
+  let s2 = Rng.bits64 s in
+  Alcotest.(check (list int64)) "split stream, then the parent's next draw"
+    [ 0x0414d954f17dedd3L; 0x620b7ea0786acd3eL; 0xc097314d939736f8L ]
+    [ s1; s2; Rng.bits64 r ]
+
 let suite =
   [
     Alcotest.test_case "rng: deterministic per seed" `Quick test_rng_deterministic;
@@ -268,4 +300,5 @@ let suite =
     Alcotest.test_case "bytes_io: bad length" `Quick test_bytes_io_bad_string_length;
     QCheck_alcotest.to_alcotest bytes_io_string_prop;
     QCheck_alcotest.to_alcotest bytes_io_int_prop;
+    Alcotest.test_case "rng: golden draws and split" `Quick test_rng_golden;
   ]
